@@ -530,6 +530,16 @@ impl RouteMetrics {
             self.stripe_parts.fetch_add(parts, Ordering::Relaxed);
         }
     }
+
+    /// Freeze the counters.
+    pub fn snapshot(&self) -> RouteSnapshot {
+        RouteSnapshot {
+            decisions: self.decisions.load(Ordering::Relaxed),
+            spills: self.spills.load(Ordering::Relaxed),
+            stripe_fanouts: self.stripe_fanouts.load(Ordering::Relaxed),
+            stripe_parts: self.stripe_parts.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A frozen [`RouteMetrics`].
@@ -684,6 +694,13 @@ impl MetricsRegistry {
         )
     }
 
+    /// The series for `session` if it is live (opened and not yet
+    /// forgotten) — never creates one, so a stale session id cannot
+    /// resurrect the series its close retired.
+    pub fn live_session(&self, session: u32) -> Option<Arc<SessionMetrics>> {
+        self.sessions.lock().expect("metrics session registry poisoned").get(&session).cloned()
+    }
+
     /// Drop `session`'s series. Called on session close so thousands of
     /// open/close cycles do not grow the registry without bound; a
     /// completion that lands after the drop is counted in the robustness
@@ -741,12 +758,7 @@ impl MetricsRegistry {
             smc_by_kind,
             doorbell_batch: self.smc.doorbell_batch.snapshot(),
             sessions,
-            route: RouteSnapshot {
-                decisions: self.route.decisions.load(Ordering::Relaxed),
-                spills: self.route.spills.load(Ordering::Relaxed),
-                stripe_fanouts: self.route.stripe_fanouts.load(Ordering::Relaxed),
-                stripe_parts: self.route.stripe_parts.load(Ordering::Relaxed),
-            },
+            route: self.route.snapshot(),
             robustness: self.robustness.snapshot(),
         }
     }

@@ -67,41 +67,24 @@ pub(crate) fn block_args(rw: u64, blkcnt: u32, blkid: u32) -> [(&'static str, u6
     [("rw", rw), ("blkcnt", u64::from(blkcnt)), ("blkid", u64::from(blkid)), ("flag", 0)]
 }
 
-/// Cumulative service counters as atomics, shared by the front-end, every
-/// lane worker and every detached [`crate::service::LaneSubmitter`]. All
-/// updates are `Relaxed` — they are metrics, and the quiescence protocol's
+/// The service counters that have no always-on twin elsewhere, as
+/// atomics shared by the front-end, every lane worker and every detached
+/// [`crate::service::LaneSubmitter`]. Events another plane already counts
+/// — lane terminals, routing, robustness, doorbell SMCs — are read from
+/// there by `DriverletService::stats`, never counted twice. All updates
+/// are `Relaxed` — they are metrics, and the quiescence protocol's
 /// acquire/release edges make post-drain snapshots exact.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStats {
     pub submitted: AtomicU64,
-    pub completed: AtomicU64,
     pub rejected: AtomicU64,
     pub replays: AtomicU64,
     pub coalesced_requests: AtomicU64,
     pub blocks_moved: AtomicU64,
     pub holds: AtomicU64,
     pub early_unplugs: AtomicU64,
-    pub doorbells: AtomicU64,
     pub doorbell_entries: AtomicU64,
     pub cq_overflows: AtomicU64,
-    /// Requests that went through the shard router's placement.
-    pub routed: AtomicU64,
-    /// Route parts shed off a saturated home lane to a sibling.
-    pub route_spills: AtomicU64,
-    /// Routed requests split across two or more replicas.
-    pub stripe_fanouts: AtomicU64,
-    /// Total parts those fan-outs produced.
-    pub stripe_parts: AtomicU64,
-    /// Submits rejected at admission by per-tenant QoS.
-    pub throttled: AtomicU64,
-    /// Failover retries dispatched to sibling replicas.
-    pub failovers: AtomicU64,
-    /// Requests whose failover retry budget ran out.
-    pub failover_exhausted: AtomicU64,
-    /// Lane quarantine trips.
-    pub quarantines: AtomicU64,
-    /// Lanes restored to healthy after probation.
-    pub lane_restores: AtomicU64,
 }
 
 impl SharedStats {
@@ -402,46 +385,19 @@ impl LaneWorker {
         // One host stamp covers the whole dispatch cluster (plug marks plus
         // one `Dispatched` per request): the events are back-to-back and the
         // clock read is the dominant emit cost.
-        let host_ns = self.tracer.is_some().then(|| self.shared.host_now_ns());
+        let host_ns = if self.tracer.is_some() { self.shared.host_now_ns() } else { 0 };
+        let (at_ns, len) = (dispatch.at_ns, batch.len() as u64);
         if dispatch.held() {
             SharedStats::bump(&self.stats.holds);
             let expired = dispatch.reason == DispatchReason::HoldExpired;
             if !expired {
                 SharedStats::bump(&self.stats.early_unplugs);
             }
-            if let Some(host_ns) = host_ns {
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Plug,
-                    dispatch.at_ns,
-                    0,
-                    0,
-                    batch.len() as u64
-                );
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Unplug,
-                    dispatch.at_ns,
-                    0,
-                    0,
-                    u64::from(expired)
-                );
-            }
+            obs_event_at!(self.tracer, host_ns, EventKind::Plug, at_ns, 0, 0, len);
+            obs_event_at!(self.tracer, host_ns, EventKind::Unplug, at_ns, 0, 0, u64::from(expired));
         }
-        if let Some(host_ns) = host_ns {
-            for p in &batch {
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Dispatched,
-                    dispatch.at_ns,
-                    p.session,
-                    p.id,
-                    batch.len() as u64
-                );
-            }
+        for p in &batch {
+            obs_event_at!(self.tracer, host_ns, EventKind::Dispatched, at_ns, p.session, p.id, len);
         }
         let completions = self.execute_batch(&batch);
         let n = completions.len();
@@ -464,50 +420,28 @@ impl LaneWorker {
         // both planes — the terminal trace event rides the metrics stamp
         // instead of paying a second clock read.
         let host_ns = self.shared.host_now_ns();
-        match &completion.result {
+        let (kind, arg) = match &completion.result {
             Ok(_) => {
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Completed,
-                    completion.completed_ns,
-                    completion.session,
-                    completion.id,
-                    u64::from(completion.coalesced)
-                );
                 self.shared.metrics.on_complete(
                     completion.latency_ns(),
                     host_ns,
                     self.shared.metrics_enabled,
                 );
+                (EventKind::Completed, u64::from(completion.coalesced))
             }
             Err(ServeError::Replay(ReplayError::Diverged(_))) => {
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Diverged,
-                    completion.completed_ns,
-                    completion.session,
-                    completion.id,
-                    0
-                );
                 self.shared.metrics.on_diverge(host_ns);
+                (EventKind::Diverged, 0)
             }
             Err(_) => {
                 // Terminal but neither success nor divergence: still a
                 // `Completed` span endpoint, tagged failed via the arg.
-                obs_event_at!(
-                    self.tracer,
-                    host_ns,
-                    EventKind::Completed,
-                    completion.completed_ns,
-                    completion.session,
-                    completion.id,
-                    2
-                );
                 self.shared.metrics.on_fail(host_ns);
+                (EventKind::Completed, 2)
             }
-        }
+        };
+        let (virt_ns, session, id) = (completion.completed_ns, completion.session, completion.id);
+        obs_event_at!(self.tracer, host_ns, kind, virt_ns, session, id, arg);
         match self.cq_tx.try_push(completion) {
             Ok(_) => {}
             Err((completion, _)) => {
@@ -592,18 +526,14 @@ impl LaneWorker {
             }
             progress += self.flush_cq_spill();
             progress += self.pump_admissions();
-            if parked && progress > 0 {
+            let next = self.next_dispatch();
+            if parked && (progress > 0 || next.is_some()) {
                 parked = false;
                 let now = self.now_ns();
                 obs_event!(self.tracer, EventKind::Unpark, now, 0, 0, 0);
             }
-            match self.next_dispatch() {
+            match next {
                 Some(dispatch) => {
-                    if parked {
-                        parked = false;
-                        let now = self.now_ns();
-                        obs_event!(self.tracer, EventKind::Unpark, now, 0, 0, 0);
-                    }
                     // An empty batch still advanced DRR deficits; loop and
                     // re-plan (terminates exactly as in sequential mode).
                     self.run_one_batch(dispatch);
@@ -642,91 +572,62 @@ impl LaneWorker {
         let plans = coalesce::plan(&reqs, coalesce);
         let mut out = Vec::new();
         for plan in &plans {
-            match plan {
+            let coalesced = plan.is_coalesced();
+            // One replay per plan, yielding each member's payload in
+            // member order.
+            let (members, outcome): (&[usize], Result<Vec<Payload>, ServeError>) = match plan {
                 ExecPlan::Single(i) => {
-                    self.shared.metrics.on_replay(1);
-                    let result = self.execute_single(&batch[*i].req);
-                    out.push(self.complete(&batch[*i], result, false));
+                    (std::slice::from_ref(i), self.execute_single(&batch[*i].req).map(|p| vec![p]))
                 }
                 ExecPlan::MergedRead { blkid, blkcnt, members } => {
-                    let coalesced = plan.is_coalesced();
-                    self.shared.metrics.on_replay(members.len() as u64);
-                    match self.execute_read(*blkid, *blkcnt) {
-                        Ok(bytes) => {
-                            for &m in members {
-                                let p = &batch[m];
-                                let Request::Read { blkid: rb, blkcnt: rc, .. } = p.req else {
-                                    unreachable!("merged read members are reads");
-                                };
-                                let off = (rb - blkid) as usize * BLOCK;
-                                let payload =
-                                    Payload::Read(bytes[off..off + rc as usize * BLOCK].to_vec());
-                                if coalesced {
-                                    SharedStats::bump(&self.stats.coalesced_requests);
-                                }
-                                out.push(self.complete(p, Ok(payload), coalesced));
-                            }
-                        }
-                        Err(_) if coalesced => {
-                            // The merged span failed (e.g. one member is out
-                            // of recorded coverage). Fall back to member-
-                            // by-member execution so every request gets
-                            // exactly the outcome the serial order would
-                            // have produced.
-                            for &m in members {
-                                let result = self.execute_single(&batch[m].req);
-                                out.push(self.complete(&batch[m], result, false));
-                            }
-                        }
-                        Err(e) => {
-                            out.push(self.complete(&batch[members[0]], Err(e), false));
-                        }
-                    }
+                    let outcome = self.execute_read(*blkid, *blkcnt).map(|bytes| {
+                        let slice = |&m: &usize| {
+                            let Request::Read { blkid: rb, blkcnt: rc, .. } = batch[m].req else {
+                                unreachable!("merged read members are reads");
+                            };
+                            let off = (rb - blkid) as usize * BLOCK;
+                            Payload::Read(bytes[off..off + rc as usize * BLOCK].to_vec())
+                        };
+                        members.iter().map(slice).collect()
+                    });
+                    (members, outcome)
                 }
                 ExecPlan::BatchedWrite { blkid, members } => {
-                    let coalesced = plan.is_coalesced();
-                    self.shared.metrics.on_replay(members.len() as u64);
-                    let mut data = Vec::new();
+                    let (mut data, mut written) = (Vec::new(), Vec::new());
                     for &m in members {
                         let Request::Write { data: d, .. } = &batch[m].req else {
                             unreachable!("batched write members are writes");
                         };
                         data.extend_from_slice(d);
+                        written.push(Payload::Written { blocks: (d.len() / BLOCK) as u32 });
                     }
-                    match self.execute_write(*blkid, &mut data) {
-                        Ok(()) => {
-                            for &m in members {
-                                let p = &batch[m];
-                                let Request::Write { data: d, .. } = &p.req else {
-                                    unreachable!("batched write members are writes");
-                                };
-                                let blocks = (d.len() / BLOCK) as u32;
-                                if coalesced {
-                                    SharedStats::bump(&self.stats.coalesced_requests);
-                                }
-                                out.push(self.complete(
-                                    p,
-                                    Ok(Payload::Written { blocks }),
-                                    coalesced,
-                                ));
-                            }
+                    (members, self.execute_write(*blkid, &mut data).map(|()| written))
+                }
+            };
+            self.shared.metrics.on_replay(members.len() as u64);
+            match outcome {
+                Ok(payloads) => {
+                    for (&m, payload) in members.iter().zip(payloads) {
+                        if coalesced {
+                            SharedStats::bump(&self.stats.coalesced_requests);
                         }
-                        Err(_) if coalesced => {
-                            // Same serial-equivalence fallback as merged
-                            // reads. A partially-executed batched write is
-                            // re-issued per member in order, which matches
-                            // the serial outcome because writes are
-                            // idempotent per extent.
-                            for &m in members {
-                                let result = self.execute_single(&batch[m].req);
-                                out.push(self.complete(&batch[m], result, false));
-                            }
-                        }
-                        Err(e) => {
-                            out.push(self.complete(&batch[members[0]], Err(e), false));
-                        }
+                        out.push(self.complete(&batch[m], Ok(payload), coalesced));
                     }
                 }
+                Err(_) if coalesced => {
+                    // The merged span failed (e.g. one member is out of
+                    // recorded coverage). Fall back to member-by-member
+                    // execution so every request gets exactly the outcome
+                    // the serial order would have produced. A
+                    // partially-executed batched write is re-issued per
+                    // member in order, which matches the serial outcome
+                    // because writes are idempotent per extent.
+                    for &m in members {
+                        let result = self.execute_single(&batch[m].req);
+                        out.push(self.complete(&batch[m], result, false));
+                    }
+                }
+                Err(e) => out.push(self.complete(&batch[members[0]], Err(e), false)),
             }
         }
         out
@@ -738,7 +639,6 @@ impl LaneWorker {
         result: Result<Payload, ServeError>,
         coalesced: bool,
     ) -> Completion {
-        SharedStats::bump(&self.stats.completed);
         Completion {
             id: p.id,
             session: p.session,
@@ -773,37 +673,30 @@ impl LaneWorker {
         }
     }
 
-    /// One (possibly merged) read span, decomposed over the recorded
-    /// granularities.
+    /// One (possibly merged) read span.
     fn execute_read(&mut self, blkid: u32, blkcnt: u32) -> Result<Vec<u8>, ServeError> {
         let mut buf = vec![0u8; blkcnt as usize * BLOCK];
-        let mut done = 0u32;
-        for part in coalesce::decompose(blkcnt, &self.config.block_granularities) {
-            let start = done as usize * BLOCK;
-            let end = (done + part) as usize * BLOCK;
-            self.replayer.invoke_args(
-                self.entry,
-                &block_args(0x1, part, blkid + done),
-                &mut buf[start..end],
-            )?;
-            SharedStats::bump(&self.stats.replays);
-            SharedStats::add(&self.stats.blocks_moved, u64::from(part));
-            done += part;
-        }
+        self.execute_span(0x1, blkid, &mut buf)?;
         Ok(buf)
     }
 
     /// One (possibly batched) write span.
     fn execute_write(&mut self, blkid: u32, data: &mut [u8]) -> Result<(), ServeError> {
-        let blkcnt = (data.len() / BLOCK) as u32;
+        self.execute_span(0x10, blkid, data)
+    }
+
+    /// Replay one block span in direction `rw` (`0x1` read, `0x10`
+    /// write), decomposed over the recorded granularities.
+    fn execute_span(&mut self, rw: u64, blkid: u32, buf: &mut [u8]) -> Result<(), ServeError> {
+        let blkcnt = (buf.len() / BLOCK) as u32;
         let mut done = 0u32;
         for part in coalesce::decompose(blkcnt, &self.config.block_granularities) {
             let start = done as usize * BLOCK;
             let end = (done + part) as usize * BLOCK;
             self.replayer.invoke_args(
                 self.entry,
-                &block_args(0x10, part, blkid + done),
-                &mut data[start..end],
+                &block_args(rw, part, blkid + done),
+                &mut buf[start..end],
             )?;
             SharedStats::bump(&self.stats.replays);
             SharedStats::add(&self.stats.blocks_moved, u64::from(part));

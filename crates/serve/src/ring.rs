@@ -29,6 +29,7 @@
 
 use std::collections::VecDeque;
 
+use crate::sched::Pending;
 use crate::spsc::{self, SpscConsumer, SpscProducer};
 use crate::{Completion, Request, RequestId, SessionId};
 
@@ -46,6 +47,20 @@ pub struct SqEntry {
     /// Normal-world (control-clock) time at which the client staged the
     /// entry — the stamp client-observed latency is measured from.
     pub enqueued_ns: u64,
+}
+
+impl SqEntry {
+    /// The entry as the lane queues it once a doorbell admitted it at
+    /// `arrived_ns` (the per-call path admits at its SMC's return).
+    pub(crate) fn arrive(self, arrived_ns: u64) -> Pending {
+        Pending {
+            id: self.id,
+            session: self.session,
+            req: self.req,
+            submitted_ns: self.enqueued_ns,
+            arrived_ns,
+        }
+    }
 }
 
 /// A bounded submission ring (one per device lane).

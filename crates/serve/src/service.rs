@@ -433,6 +433,80 @@ struct LaneFrontEnd {
     join: Option<JoinHandle<()>>,
 }
 
+impl LaneFrontEnd {
+    /// Move TEE-admitted requests into the lane — the one admission
+    /// routine behind every path (per-call submit, fan-out member,
+    /// doorbell drain, failover retry, quarantine re-placement): reserve a
+    /// slot, trace `Admitted`, push onto the admit ring, then wake the
+    /// worker once for the batch. A lane at capacity refuses with the
+    /// reservation's single-snapshot [`ServeError::QueueFull`]. The admit
+    /// ring holds `capacity` entries and the reservation bounds in-flight
+    /// work at `capacity`, so a full ring is unreachable; if it happened,
+    /// the reservation is rolled back and the request refused the same
+    /// way. Returns the refused requests, each with its error.
+    fn admit(
+        &mut self,
+        batch: impl IntoIterator<Item = Pending>,
+        tracer: &mut Option<TraceHandle>,
+        host_ns: u64,
+    ) -> Vec<(Pending, ServeError)> {
+        let mut refused = Vec::new();
+        for p in batch {
+            if let Err(err) = self.shared.reserve() {
+                refused.push((p, err));
+                continue;
+            }
+            // The depth argument is read only when tracing is on.
+            obs_event_at!(
+                tracer,
+                host_ns,
+                EventKind::Admitted,
+                p.arrived_ns,
+                p.session,
+                p.id,
+                self.shared.inflight.load(Ordering::Acquire)
+            );
+            if let Err((p, _)) = self.admit_tx.try_push(p) {
+                self.shared.inflight.fetch_sub(1, Ordering::Release);
+                self.shared.metrics.on_requeue(self.shared.host_now_ns());
+                let err = ServeError::QueueFull {
+                    device: self.device,
+                    depth: self.shared.capacity,
+                    capacity: self.shared.capacity,
+                    high_water: self.shared.metrics.occupancy_high_water() as usize,
+                    fleet: Vec::new(),
+                };
+                refused.push((p, err));
+            }
+        }
+        self.shared.unpark();
+        refused
+    }
+
+    /// Stage one entry in the submission ring; a full ring is typed
+    /// backpressure carrying the occupancy the push was refused at.
+    fn stage(&mut self, entry: SqEntry) -> Result<(), ServeError> {
+        self.sq.try_push(entry).map_err(|(_, depth)| ServeError::QueueFull {
+            device: self.device,
+            depth,
+            capacity: self.sq.depth(),
+            high_water: self.sq.high_water(),
+            fleet: Vec::new(),
+        })
+    }
+
+    /// Admitted in-flight depth, if a request can still be admitted.
+    fn admit_room(&self) -> Option<usize> {
+        let depth = self.shared.inflight.load(Ordering::Acquire) as usize;
+        (depth < self.shared.capacity).then_some(depth)
+    }
+
+    /// Staged depth, if this front-end can stage another entry here.
+    fn stage_room(&self) -> Option<usize> {
+        (self.sq.producer_attached() && !self.sq.is_full()).then(|| self.sq.len())
+    }
+}
+
 /// A snapshot of one lane's timeline and queue state (multi-core
 /// observability: per-device utilisation and backlog).
 #[derive(Debug, Clone, Copy)]
@@ -577,17 +651,6 @@ struct LaneSupervision {
     divergences: u32,
     /// Clean completions served since the lane entered probation.
     probation_clean: u32,
-}
-
-/// What [`DriverletService::absorb_member`] made of one reaped
-/// completion.
-enum Absorbed {
-    /// Not a stripe member — deliver it unchanged.
-    Direct(Completion),
-    /// A member folded into a parent that is still waiting on siblings.
-    Pending,
-    /// The last member landed: deliver the synthesized parent.
-    Parent(Completion),
 }
 
 /// The multi-tenant driverlet service (see the crate docs).
@@ -937,31 +1000,45 @@ impl DriverletService {
             .collect()
     }
 
-    /// Cumulative statistics (a relaxed snapshot of the shared atomic
-    /// counters; exact once the service is quiescent).
+    /// Cumulative statistics (relaxed snapshots of the counters; exact
+    /// once the service is quiescent). Each event is counted once, where
+    /// it happens: the front-end and lane counters below, the lanes'
+    /// terminal events, the routing and robustness series of the metrics
+    /// registry, and the TEE kernel's doorbell count.
     pub fn stats(&self) -> ServeStats {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let route = self.metrics.route().snapshot();
+        let robust = self.metrics.robustness().snapshot();
         ServeStats {
             submitted: ld(&self.stats.submitted),
-            completed: ld(&self.stats.completed),
+            // Every execution ends in exactly one lane terminal event.
+            completed: self
+                .lanes
+                .iter()
+                .map(|l| {
+                    l.shared.metrics.completed()
+                        + l.shared.metrics.diverged()
+                        + l.shared.metrics.failed()
+                })
+                .sum(),
             rejected: ld(&self.stats.rejected),
             replays: ld(&self.stats.replays),
             coalesced_requests: ld(&self.stats.coalesced_requests),
             blocks_moved: ld(&self.stats.blocks_moved),
             holds: ld(&self.stats.holds),
             early_unplugs: ld(&self.stats.early_unplugs),
-            doorbells: ld(&self.stats.doorbells),
+            doorbells: self.tee.smc_doorbells(),
             doorbell_entries: ld(&self.stats.doorbell_entries),
             cq_overflows: ld(&self.stats.cq_overflows),
-            routed: ld(&self.stats.routed),
-            route_spills: ld(&self.stats.route_spills),
-            stripe_fanouts: ld(&self.stats.stripe_fanouts),
-            stripe_parts: ld(&self.stats.stripe_parts),
-            throttled: ld(&self.stats.throttled),
-            failovers: ld(&self.stats.failovers),
-            failover_exhausted: ld(&self.stats.failover_exhausted),
-            quarantines: ld(&self.stats.quarantines),
-            lane_restores: ld(&self.stats.lane_restores),
+            routed: route.decisions,
+            route_spills: route.spills,
+            stripe_fanouts: route.stripe_fanouts,
+            stripe_parts: route.stripe_parts,
+            throttled: robust.throttled,
+            failovers: robust.failovers,
+            failover_exhausted: robust.failover_exhausted,
+            quarantines: robust.quarantines,
+            lane_restores: robust.lane_restores,
         }
     }
 
@@ -1083,6 +1160,13 @@ impl DriverletService {
         self.lane_table.get(&id.device)?.get(id.replica).copied()
     }
 
+    /// [`DriverletService::lane_of`], or the typed error for an address
+    /// no lane serves.
+    fn lane_at(&self, id: LaneId) -> Result<usize, ServeError> {
+        self.lane_of(id)
+            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))
+    }
+
     /// Submit into an explicit replica lane by fleet address, bypassing
     /// the router (the [`LaneId`] flavour of
     /// [`DriverletService::submit_to_lane`]).
@@ -1092,9 +1176,7 @@ impl DriverletService {
         session: SessionId,
         req: Request,
     ) -> Result<RequestId, ServeError> {
-        let lane = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+        let lane = self.lane_at(id)?;
         self.submit_to_lane(lane, session, req)
     }
 
@@ -1124,21 +1206,17 @@ impl DriverletService {
             Some(t) if !t.is_empty() => t.clone(),
             _ => return Err(ServeError::DeviceNotServed(device)),
         };
+        let mode = self.config.submit_mode;
+        let loads: Vec<LaneLoad> = table.iter().map(|&idx| self.lane_load(idx, mode).0).collect();
         // Admission QoS first — before any queue depth is reserved, so a
         // throttled flooder never occupies a slot a victim could have
         // used. The charge is provisional: rolled back on any downstream
         // rejection, released by the completion's QoS ticket otherwise.
         let charged = self.admission.is_enabled();
         if charged {
-            let per_lane = match self.config.submit_mode {
-                SubmitMode::PerCall => self.config.queue_capacity,
-                SubmitMode::Ring => self.config.sq_depth,
-            };
+            let capacity = loads.iter().map(|l| l.capacity).sum();
             let now_ns = self.control.now_ns();
-            if let Err(retry_after_ns) =
-                self.admission.admit(session, device, table.len() * per_lane, now_ns)
-            {
-                SharedStats::bump(&self.stats.throttled);
+            if let Err(retry_after_ns) = self.admission.admit(session, device, capacity, now_ns) {
                 self.metrics.robustness().on_throttle();
                 if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
                     obs.on_throttle();
@@ -1147,28 +1225,6 @@ impl DriverletService {
                 return Err(ServeError::Throttled { session, device, retry_after_ns });
             }
         }
-        // Occupancy as the planner admits against: admitted in-flight
-        // per-call, staged SQ entries in ring mode. The front-end is the
-        // sole incrementer of both, so check-then-reserve cannot race.
-        // A quarantined lane is unavailable: clean reads shed off it.
-        let loads: Vec<LaneLoad> = table
-            .iter()
-            .map(|&idx| {
-                let l = &self.lanes[idx];
-                let available =
-                    LaneState::from_gauge(l.shared.metrics.state()) != LaneState::Quarantined;
-                match self.config.submit_mode {
-                    SubmitMode::PerCall => LaneLoad {
-                        depth: l.shared.inflight.load(Ordering::Acquire) as usize,
-                        capacity: l.shared.capacity,
-                        available,
-                    },
-                    SubmitMode::Ring => {
-                        LaneLoad { depth: l.sq.len(), capacity: l.sq.depth(), available }
-                    }
-                }
-            })
-            .collect();
         let parts = match self.router.plan(session, &req, &loads) {
             Ok(parts) => parts,
             Err(reject) => {
@@ -1176,7 +1232,7 @@ impl DriverletService {
                     self.admission.rollback(session, device);
                 }
                 SharedStats::bump(&self.stats.rejected);
-                return Err(self.routed_reject(device, &table, reject));
+                return Err(self.routed_reject(device, &table, reject, mode));
             }
         };
         // Failover eligibility is decided at plan time: an unsplit clean
@@ -1193,20 +1249,12 @@ impl DriverletService {
             })
             .flatten();
         let spilled = parts.iter().filter(|p| p.spilled).count() as u64;
-        let submit_result = if parts.len() == 1 {
-            // Unsplit (possibly spilled): the planned lane takes the
-            // request whole down the ordinary single-lane path. The plan
-            // checked its occupancy, so this cannot reject.
-            let idx = table[parts[0].replica];
-            match self.config.submit_mode {
-                SubmitMode::PerCall => self.submit_per_call_at(idx, session, req),
-                SubmitMode::Ring => self.ring_enqueue_at(idx, session, req),
-            }
-        } else {
-            self.submit_fanout(session, req, &table, &parts)
-        };
-        let id = match submit_result {
-            Ok(id) => id,
+        // The plan checked every planned lane's occupancy, so once the
+        // call has entered the TEE nothing downstream can reject.
+        let lanes: Vec<usize> = parts.iter().map(|p| table[p.replica]).collect();
+        let submitted_ns = self.control.now_ns();
+        let id = match self.enter(session, mode, &lanes) {
+            Ok(arrived) => self.enqueue(session, req, &lanes, &parts, submitted_ns, arrived),
             Err(e) => {
                 if charged {
                     self.admission.rollback(session, device);
@@ -1221,92 +1269,110 @@ impl DriverletService {
             self.retryable
                 .insert(id, RetryCtx { session, device, blkid, blkcnt, attempts: Vec::new() });
         }
-        SharedStats::bump(&self.stats.routed);
-        SharedStats::add(&self.stats.route_spills, spilled);
-        if parts.len() > 1 {
-            SharedStats::bump(&self.stats.stripe_fanouts);
-            SharedStats::add(&self.stats.stripe_parts, parts.len() as u64);
-        }
         self.metrics.route().on_plan(parts.len() as u64, spilled);
         Ok(id)
     }
 
-    /// Map a router rejection into the typed fleet-view backpressure
-    /// error: the saturated home lane's depth/capacity plus the
-    /// per-replica snapshot the plan was rejected against.
-    fn routed_reject(&self, device: Device, table: &[usize], reject: RouteReject) -> ServeError {
-        let home = &reject.fleet[reject.home];
-        let lane = &self.lanes[table[reject.home]];
-        let high_water = match self.config.submit_mode {
-            SubmitMode::PerCall => lane.shared.metrics.occupancy_high_water() as usize,
-            SubmitMode::Ring => lane.sq.high_water(),
-        };
-        ServeError::QueueFull {
-            device,
-            depth: home.depth,
-            capacity: home.capacity,
-            high_water,
-            fleet: reject.fleet,
+    /// Lane `idx`'s occupancy as the planner admits against, plus the
+    /// high-water mark of that same bound: admitted in-flight work when
+    /// requests enter the lane at submit time ([`SubmitMode::PerCall`]),
+    /// staged SQ entries when they wait for a doorbell
+    /// ([`SubmitMode::Ring`]). The front-end is the sole incrementer of
+    /// both, so check-then-reserve cannot race. A quarantined lane is
+    /// unavailable: clean reads shed off it.
+    fn lane_load(&self, idx: usize, mode: SubmitMode) -> (LaneLoad, usize) {
+        let l = &self.lanes[idx];
+        let available = self.lane_state(idx) != LaneState::Quarantined;
+        match mode {
+            SubmitMode::PerCall => (
+                LaneLoad {
+                    depth: l.shared.inflight.load(Ordering::Acquire) as usize,
+                    capacity: l.shared.capacity,
+                    available,
+                },
+                l.shared.metrics.occupancy_high_water() as usize,
+            ),
+            SubmitMode::Ring => (
+                LaneLoad { depth: l.sq.len(), capacity: l.sq.depth(), available },
+                l.sq.high_water(),
+            ),
         }
     }
 
-    /// Fan one routed request out as member parts across replica lanes.
-    /// The returned id is the **parent**: members execute like ordinary
-    /// requests, and [`DriverletService::absorb_member`] reassembles
-    /// their completions into the one the session observes. Per-call mode
-    /// charges **one** `GATE_SUBMIT` SMC for the whole fan-out (one
-    /// client call = one world switch); ring mode stages every member
-    /// SMC-free as usual.
-    fn submit_fanout(
+    /// Cross into the TEE for one client call, or do not: a per-call
+    /// submit is one `GATE_SUBMIT` command invocation (one world switch
+    /// plus the GP invoke marshalling the gate bills, however many lanes
+    /// the call fans out to) and returns the SMC's return stamp — the
+    /// instant its request arrives at the `lanes`. A ring submit enters
+    /// nothing (`None`: its entries arrive at the next doorbell), but every
+    /// target ring must still be staged by this front-end.
+    fn enter(
+        &mut self,
+        session: SessionId,
+        mode: SubmitMode,
+        lanes: &[usize],
+    ) -> Result<Option<u64>, ServeError> {
+        match mode {
+            SubmitMode::PerCall => {
+                self.tee
+                    .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
+                    .map_err(|_| ServeError::InvalidSession(session))?;
+                Ok(Some(self.control.now_ns()))
+            }
+            SubmitMode::Ring => {
+                let Some(&idx) = lanes.iter().find(|&&i| !self.lanes[i].sq.producer_attached())
+                else {
+                    return Ok(None);
+                };
+                Err(ServeError::Invalid(format!(
+                    "lane {idx} ({}) submission ring is detached to a LaneSubmitter; stage \
+                     through the submitter",
+                    self.lanes[idx].device
+                )))
+            }
+        }
+    }
+
+    /// Put a request that has entered (see [`DriverletService::enter`])
+    /// on its planned lanes, whose room the caller checked: whole on
+    /// `lanes[0]`, or — split by `parts` across several lanes — as member
+    /// requests that execute like any other and that
+    /// [`DriverletService::absorb_member`] reassembles into the one
+    /// completion the returned parent id names. Session accounting is
+    /// parent-granular: the client made one submit and will see one
+    /// completion.
+    fn enqueue(
         &mut self,
         session: SessionId,
         req: Request,
-        table: &[usize],
+        lanes: &[usize],
         parts: &[RoutePart],
-    ) -> Result<RequestId, ServeError> {
+        submitted_ns: u64,
+        arrived: Option<u64>,
+    ) -> RequestId {
+        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        let host_ns = self.host_stamp();
+        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
+            obs.on_submit();
+        }
+        if lanes.len() == 1 {
+            let entry = SqEntry { id, session, req, enqueued_ns: submitted_ns };
+            self.place(lanes[0], entry, arrived, host_ns);
+            return id;
+        }
+        obs_event_at!(self.tracer, host_ns, EventKind::Submitted, submitted_ns, session, id, 0);
         let device = req.device();
-        let (blkid, buf, data) = match &req {
+        let (blkid, buf, data) = match req {
             Request::Read { blkid, blkcnt, .. } => {
-                (*blkid, Some(vec![0u8; *blkcnt as usize * BLOCK]), None)
+                (blkid, Some(vec![0u8; blkcnt as usize * BLOCK]), None)
             }
-            Request::Write { blkid, data, .. } => (*blkid, None, Some(data.clone())),
+            Request::Write { blkid, data, .. } => (blkid, None, Some(data)),
             // The planner never splits a capture.
             Request::Capture { .. } => unreachable!("captures route as a single part"),
         };
         let blocks: u32 = parts.iter().map(|p| p.blkcnt).sum();
-        if self.config.submit_mode == SubmitMode::Ring {
-            for part in parts {
-                if !self.lanes[table[part.replica]].sq.producer_attached() {
-                    return Err(ServeError::Invalid(format!(
-                        "lane {} ({device}) submission ring is detached to a LaneSubmitter; \
-                         stage through the submitter",
-                        table[part.replica]
-                    )));
-                }
-            }
-        }
-        let submitted_ns = self.control.now_ns();
-        let arrived_ns = match self.config.submit_mode {
-            SubmitMode::PerCall => {
-                // One command invocation admits the whole fan-out: the
-                // client made one call, so it pays one world switch.
-                self.tee
-                    .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
-                    .map_err(|_| ServeError::InvalidSession(session))?;
-                self.control.now_ns()
-            }
-            // Ring members become servable at the next doorbell.
-            SubmitMode::Ring => submitted_ns,
-        };
-        let parent = self.next_request.fetch_add(1, Ordering::Relaxed);
-        obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, parent, 0);
-        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-            // Session accounting is parent-granular: the client sees one
-            // submit and will see one completion.
-            obs.on_submit();
-        }
         self.stripe_parents.insert(
-            parent,
+            id,
             StripeParent {
                 session,
                 device,
@@ -1319,8 +1385,7 @@ impl DriverletService {
                 error: None,
             },
         );
-        for part in parts {
-            let idx = table[part.replica];
+        for (part, &idx) in parts.iter().zip(lanes) {
             let offset = (part.blkid - blkid) as usize * BLOCK;
             let member_req = match &data {
                 Some(bytes) => Request::Write {
@@ -1331,107 +1396,111 @@ impl DriverletService {
                 None => Request::Read { device, blkid: part.blkid, blkcnt: part.blkcnt },
             };
             let member = self.next_request.fetch_add(1, Ordering::Relaxed);
-            self.stripe_members.insert(member, (parent, offset));
-            match self.config.submit_mode {
-                SubmitMode::PerCall => {
-                    let lane = &mut self.lanes[idx];
-                    // Cannot fail: the plan admitted this part against a
-                    // depth only the (single-threaded) front-end grows.
-                    if let Err(e) = lane.shared.reserve() {
-                        debug_assert!(false, "the plan checked every part's occupancy");
-                        let c = self.member_completion(member, session, device, Err(e), arrived_ns);
-                        self.finish_member(c);
-                        continue;
-                    }
-                    obs_event!(
-                        self.tracer,
-                        EventKind::Admitted,
-                        arrived_ns,
-                        session,
-                        member,
-                        lane.shared.inflight.load(Ordering::Acquire)
-                    );
-                    let pending =
-                        Pending { id: member, session, req: member_req, submitted_ns, arrived_ns };
-                    if lane.admit_tx.try_push(pending).is_err() {
-                        // Unreachable by the reservation invariant; keep
-                        // the member accounted, never lost.
-                        debug_assert!(false, "reservation bounds the admit ring");
-                        lane.shared.inflight.fetch_sub(1, Ordering::Release);
-                        let err = ServeError::QueueFull {
-                            device,
-                            depth: lane.shared.capacity,
-                            capacity: lane.shared.capacity,
-                            high_water: lane.shared.metrics.occupancy_high_water() as usize,
-                            fleet: Vec::new(),
-                        };
-                        SharedStats::bump(&self.stats.rejected);
-                        let c =
-                            self.member_completion(member, session, device, Err(err), arrived_ns);
-                        self.finish_member(c);
-                        continue;
-                    }
-                    SharedStats::bump(&self.stats.submitted);
-                    lane.shared.unpark();
-                }
-                SubmitMode::Ring => {
-                    let lane = &mut self.lanes[idx];
-                    lane.sq
-                        .try_push(SqEntry {
-                            id: member,
-                            session,
-                            req: member_req,
-                            enqueued_ns: submitted_ns,
-                        })
-                        .expect("the plan checked the ring's staged depth");
-                    SharedStats::bump(&self.stats.submitted);
-                }
-            }
-            obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, member, 0);
+            self.stripe_members.insert(member, (id, offset));
+            let entry = SqEntry { id: member, session, req: member_req, enqueued_ns: submitted_ns };
+            self.place(idx, entry, arrived, host_ns);
         }
-        Ok(parent)
+        id
     }
 
-    /// A synthesized member completion for the unreachable
-    /// cannot-actually-admit paths of [`DriverletService::submit_fanout`].
-    fn member_completion(
-        &self,
+    /// Trace one request's submission and put it on lane `idx` the way
+    /// [`DriverletService::enter`] decided: admitted into the lane now,
+    /// arriving at `arrived`, or staged in its submission ring for the
+    /// next doorbell. The caller checked the room, so a refusal here is
+    /// unreachable; should one happen anyway, the request still
+    /// completes, with the typed error.
+    fn place(&mut self, idx: usize, entry: SqEntry, arrived: Option<u64>, host_ns: u64) {
+        let (id, session, submitted_ns) = (entry.id, entry.session, entry.enqueued_ns);
+        obs_event_at!(self.tracer, host_ns, EventKind::Submitted, submitted_ns, session, id, 0);
+        let lane = &mut self.lanes[idx];
+        let refused = match arrived {
+            Some(arrived_ns) => {
+                lane.admit([entry.arrive(arrived_ns)], &mut self.tracer, host_ns).pop().map(|r| r.1)
+            }
+            None => lane.stage(entry).err(),
+        };
+        match refused {
+            None => SharedStats::bump(&self.stats.submitted),
+            Some(err) => {
+                self.refuse(idx, id, session, submitted_ns, arrived.unwrap_or(submitted_ns), err)
+            }
+        }
+    }
+
+    /// Complete a request lane `idx` refused admission to with its typed
+    /// error, counted as a rejection. A refused request may be a routed
+    /// stripe member, so the failure flows through reassembly and the
+    /// parent still completes (with the member's error) once its siblings
+    /// do.
+    fn refuse(
+        &mut self,
+        idx: usize,
         id: RequestId,
         session: SessionId,
-        device: Device,
-        result: Result<Payload, ServeError>,
+        submitted_ns: u64,
         at_ns: u64,
-    ) -> Completion {
-        Completion {
+        err: ServeError,
+    ) {
+        SharedStats::bump(&self.stats.rejected);
+        let device = self.lanes[idx].device;
+        self.finish_member(Completion {
             id,
             session,
             device,
-            result,
-            submitted_ns: at_ns,
+            result: Err(err),
+            submitted_ns,
             completed_ns: at_ns,
             coalesced: false,
+        });
+    }
+
+    /// The front-end trace ring's host stamp, shared by a burst of
+    /// back-to-back emits (0 when tracing is off — the emit macros no-op).
+    fn host_stamp(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, |t| t.host_now_ns())
+    }
+
+    /// Map a router rejection into the typed fleet-view backpressure
+    /// error: the saturated home lane's depth/capacity plus the
+    /// per-replica snapshot the plan was rejected against.
+    fn routed_reject(
+        &self,
+        device: Device,
+        table: &[usize],
+        reject: RouteReject,
+        mode: SubmitMode,
+    ) -> ServeError {
+        let home = &reject.fleet[reject.home];
+        ServeError::QueueFull {
+            device,
+            depth: home.depth,
+            capacity: home.capacity,
+            high_water: self.lane_load(table[reject.home], mode).1,
+            fleet: reject.fleet,
         }
     }
 
     /// Feed one member completion through reassembly and post the parent
     /// if it was the last.
     fn finish_member(&mut self, c: Completion) {
-        match self.absorb_member(c) {
-            Absorbed::Direct(c) | Absorbed::Parent(c) => self.post_completion(c),
-            Absorbed::Pending => {}
+        if let Some(c) = self.absorb_member(c) {
+            self.post_completion(c);
         }
     }
 
     /// Fold one reaped completion into its stripe parent, if it is a
-    /// member of a routed fan-out; pass it through otherwise. Member
-    /// read bytes land at their byte offset in the parent buffer, the
-    /// parent's completion stamp is the max over members (a striped
-    /// request is done when its slowest part is), and the surviving
-    /// error — if any member failed — is the lowest-offset one, the
-    /// error serial execution would have hit first.
-    fn absorb_member(&mut self, c: Completion) -> Absorbed {
+    /// member of a routed fan-out; pass it through otherwise. Returns the
+    /// completion to deliver: the completion itself, the synthesized
+    /// parent once its last member landed, or `None` while the parent
+    /// still waits on siblings. Member read bytes land at their byte
+    /// offset in the parent buffer, the parent's completion stamp is the
+    /// max over members (a striped request is done when its slowest part
+    /// is), and the surviving error — if any member failed — is the
+    /// lowest-offset one, the error serial execution would have hit
+    /// first.
+    fn absorb_member(&mut self, c: Completion) -> Option<Completion> {
         let Some((parent_id, offset)) = self.stripe_members.remove(&c.id) else {
-            return Absorbed::Direct(c);
+            return Some(c);
         };
         let p = self
             .stripe_parents
@@ -1454,7 +1523,7 @@ impl DriverletService {
             }
         }
         if p.outstanding > 0 {
-            return Absorbed::Pending;
+            return None;
         }
         let p = self.stripe_parents.remove(&parent_id).expect("checked present above");
         let result = match p.error {
@@ -1464,7 +1533,7 @@ impl DriverletService {
                 None => Payload::Written { blocks: p.blocks },
             }),
         };
-        Absorbed::Parent(Completion {
+        Some(Completion {
             id: parent_id,
             session: p.session,
             device: p.device,
@@ -1475,8 +1544,9 @@ impl DriverletService {
         })
     }
 
-    /// Submit into an explicit lane (replica-lane addressing). The
-    /// request's device must match the lane's device.
+    /// Submit into an explicit lane (replica-lane addressing), along the
+    /// configured [`SubmitMode`]. The request's device must match the
+    /// lane's device.
     pub fn submit_to_lane(
         &mut self,
         lane: usize,
@@ -1489,10 +1559,7 @@ impl DriverletService {
                 self.lanes.len()
             )));
         }
-        match self.config.submit_mode {
-            SubmitMode::PerCall => self.submit_per_call_at(lane, session, req),
-            SubmitMode::Ring => self.ring_enqueue_at(lane, session, req),
-        }
+        self.submit_direct(lane, session, req, self.config.submit_mode)
     }
 
     /// The legacy one-SMC-per-operation submit. Public even in ring mode:
@@ -1505,14 +1572,26 @@ impl DriverletService {
         req: Request,
     ) -> Result<RequestId, ServeError> {
         let idx = self.lane_index(req.device())?;
-        self.submit_per_call_at(idx, session, req)
+        self.submit_direct(idx, session, req, SubmitMode::PerCall)
     }
 
-    fn submit_per_call_at(
+    /// The unrouted submit into lane `idx`. Shape checks run first, in the
+    /// normal world. The submission stamp is the instant the client
+    /// *initiated* the call, so client-observed latency includes the world
+    /// switch a per-call submit is about to pay; the control clock
+    /// advances on SMCs, client think time and completion *observations*
+    /// ([`DriverletService::take_completions`]) — never on unobserved
+    /// lane progress — so independent sessions keep overlapping with a
+    /// slow lane they are not waiting on. A full lane (per-call) or ring
+    /// (ring mode) is typed backpressure — [`ServeError::QueueFull`] with
+    /// the one depth snapshot the rejection was decided on — never a
+    /// silent drop; a per-call rejection has still paid its SMC.
+    fn submit_direct(
         &mut self,
         idx: usize,
         session: SessionId,
         req: Request,
+        mode: SubmitMode,
     ) -> Result<RequestId, ServeError> {
         if !self.sessions.contains_key(&session) {
             return Err(ServeError::InvalidSession(session));
@@ -1525,120 +1604,20 @@ impl DriverletService {
                 req.device()
             )));
         }
-        // Submission stamp: the instant the client *initiated* the call,
-        // so client-observed latency includes the world switch it is about
-        // to pay. The control clock advances on SMCs, client think time
-        // and completion *observations*
-        // ([`DriverletService::take_completions`]) — never on unobserved
-        // lane progress — so independent sessions keep overlapping with a
-        // slow lane they are not waiting on.
         let submitted_ns = self.control.now_ns();
-        // The command invocation crossing into the TEE: validated and
-        // charged by the session framework (on the control-plane clock) —
-        // one world switch plus the GP invoke marshalling the gate bills.
-        self.tee
-            .invoke(session, GATE_SUBMIT, &[0; 4], &mut [])
-            .map_err(|_| ServeError::InvalidSession(session))?;
-        // Admission stamp: the SMC's return. The target lane serves this
-        // request no earlier than this.
-        let arrived_ns = self.control.now_ns();
-        // Capacity reservation (single atomic snapshot): the lane bound is
-        // enforced here, front-end side, so the admit push below can never
-        // fail and a rejection reports one coherent depth even while the
-        // lane thread drains concurrently.
-        if let Err(e) = self.lanes[idx].shared.reserve() {
-            SharedStats::bump(&self.stats.rejected);
-            return Err(e);
-        }
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let lane = &mut self.lanes[idx];
-        obs_event!(self.tracer, EventKind::Submitted, submitted_ns, session, id, 0);
-        obs_event!(
-            self.tracer,
-            EventKind::Admitted,
-            arrived_ns,
-            session,
-            id,
-            lane.shared.inflight.load(Ordering::Acquire)
-        );
-        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-            obs.on_submit();
-        }
-        let pending = Pending { id, session, req, submitted_ns, arrived_ns };
-        if lane.admit_tx.try_push(pending).is_err() {
-            // Unreachable by the reservation invariant (admit ring
-            // capacity == lane capacity >= in-flight); never lose the
-            // reservation silently if it ever fires.
-            debug_assert!(false, "reservation bounds the admit ring");
-            lane.shared.inflight.fetch_sub(1, Ordering::Release);
-            lane.shared.metrics.on_fail(self.metrics.host_now_ns());
+        let arrived = self.enter(session, mode, &[idx])?;
+        let (load, high_water) = self.lane_load(idx, mode);
+        if load.depth >= load.capacity {
             SharedStats::bump(&self.stats.rejected);
             return Err(ServeError::QueueFull {
                 device,
-                depth: lane.shared.capacity,
-                capacity: lane.shared.capacity,
-                high_water: lane.shared.metrics.occupancy_high_water() as usize,
+                depth: load.depth,
+                capacity: load.capacity,
+                high_water,
                 fleet: Vec::new(),
             });
         }
-        SharedStats::bump(&self.stats.submitted);
-        lane.shared.unpark();
-        Ok(id)
-    }
-
-    /// Stage a request in the target lane's submission ring **without
-    /// entering the TEE**: no SMC, no control-clock charge — the whole
-    /// point of the ring path. Shape checks run here in the normal world
-    /// (the client library mirrors the gate's admission rules; the gate
-    /// re-validates every entry at doorbell time and bills that per-entry
-    /// cost inside the one world switch). A full ring is typed
-    /// backpressure — [`ServeError::QueueFull`] carrying the device, the
-    /// ring depth and its capacity — never a silent drop.
-    fn ring_enqueue_at(
-        &mut self,
-        idx: usize,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        if !self.sessions.contains_key(&session) {
-            return Err(ServeError::InvalidSession(session));
-        }
-        validate_request(&req)?;
-        let device = self.lanes[idx].device;
-        if req.device() != device {
-            return Err(ServeError::Invalid(format!(
-                "request for {} staged on a {device} lane",
-                req.device()
-            )));
-        }
-        let enqueued_ns = self.control.now_ns();
-        let lane = &mut self.lanes[idx];
-        if !lane.sq.producer_attached() {
-            return Err(ServeError::Invalid(format!(
-                "lane {idx} ({device}) submission ring is detached to a LaneSubmitter; \
-                 stage through the submitter"
-            )));
-        }
-        if lane.sq.is_full() {
-            SharedStats::bump(&self.stats.rejected);
-            return Err(ServeError::QueueFull {
-                device,
-                depth: lane.sq.len(),
-                capacity: lane.sq.depth(),
-                high_water: lane.sq.high_water(),
-                fleet: Vec::new(),
-            });
-        }
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        lane.sq
-            .try_push(SqEntry { id, session, req, enqueued_ns })
-            .expect("ring checked non-full and this thread is the only attached producer");
-        obs_event!(self.tracer, EventKind::Submitted, enqueued_ns, session, id, 0);
-        if let Some(obs) = self.sessions.get(&session).and_then(|e| e.obs.as_ref()) {
-            obs.on_submit();
-        }
-        SharedStats::bump(&self.stats.submitted);
-        Ok(id)
+        Ok(self.enqueue(session, req, &[idx], &[], submitted_ns, arrived))
     }
 
     /// Ring the doorbell: **one** SMC (a batch invoke of the gate
@@ -1668,86 +1647,23 @@ impl DriverletService {
         let arrived_ns = self.control.now_ns();
         // One host stamp covers the doorbell and every `Admitted` it
         // unlocks: the emits are back-to-back and the clock read dominates
-        // the emit cost (0 when tracing is off — the macro no-ops).
-        let host_ns = self.tracer.as_ref().map(|t| t.host_now_ns()).unwrap_or(0);
+        // the emit cost.
+        let host_ns = self.host_stamp();
         obs_event_at!(self.tracer, host_ns, EventKind::Doorbell, arrived_ns, 0, 0, staged as u64);
         if self.metrics.is_enabled() {
             self.metrics.smc().record_doorbell_batch(staged as u64);
         }
-        SharedStats::bump(&self.stats.doorbells);
         SharedStats::add(&self.stats.doorbell_entries, staged as u64);
-        let mut rejected = Vec::new();
-        for (idx, n) in staged_by_lane.iter().enumerate() {
-            if *n == 0 {
+        for (idx, n) in staged_by_lane.into_iter().enumerate() {
+            if n == 0 {
                 continue;
             }
             let lane = &mut self.lanes[idx];
-            let device = lane.device;
             lane.shared.metrics.on_doorbell();
-            for e in lane.sq.take_staged(*n) {
-                match lane.shared.reserve() {
-                    Ok(()) => {
-                        obs_event_at!(
-                            self.tracer,
-                            host_ns,
-                            EventKind::Admitted,
-                            arrived_ns,
-                            e.session,
-                            e.id,
-                            lane.shared.inflight.load(Ordering::Acquire)
-                        );
-                        let pending = Pending {
-                            id: e.id,
-                            session: e.session,
-                            req: e.req,
-                            submitted_ns: e.enqueued_ns,
-                            arrived_ns,
-                        };
-                        if let Err((p, _)) = lane.admit_tx.try_push(pending) {
-                            // Unreachable by the reservation invariant;
-                            // surface as typed backpressure, never a loss.
-                            debug_assert!(false, "reservation bounds the admit ring");
-                            lane.shared.inflight.fetch_sub(1, Ordering::Release);
-                            lane.shared.metrics.on_fail(self.metrics.host_now_ns());
-                            SharedStats::bump(&self.stats.rejected);
-                            rejected.push(Completion {
-                                id: p.id,
-                                session: p.session,
-                                device,
-                                result: Err(ServeError::QueueFull {
-                                    device,
-                                    depth: lane.shared.capacity,
-                                    capacity: lane.shared.capacity,
-                                    high_water: lane.shared.metrics.occupancy_high_water() as usize,
-                                    fleet: Vec::new(),
-                                }),
-                                submitted_ns: p.submitted_ns,
-                                completed_ns: arrived_ns,
-                                coalesced: false,
-                            });
-                        }
-                    }
-                    Err(err) => {
-                        SharedStats::bump(&self.stats.rejected);
-                        rejected.push(Completion {
-                            id: e.id,
-                            session: e.session,
-                            device,
-                            result: Err(err),
-                            submitted_ns: e.enqueued_ns,
-                            completed_ns: arrived_ns,
-                            coalesced: false,
-                        });
-                    }
-                }
+            let batch = lane.sq.take_staged(n).into_iter().map(|e| e.arrive(arrived_ns));
+            for (p, err) in lane.admit(batch, &mut self.tracer, host_ns) {
+                self.refuse(idx, p.id, p.session, p.submitted_ns, arrived_ns, err);
             }
-            lane.shared.unpark();
-        }
-        for c in rejected {
-            // A rejected entry may be a routed stripe member: its typed
-            // failure must flow through reassembly so the parent still
-            // completes (with the member's error) once its siblings do.
-            self.finish_member(c);
         }
         Ok(staged)
     }
@@ -1767,14 +1683,6 @@ impl DriverletService {
     /// terminal completion passes through here exactly once, so this is
     /// also where the per-session metrics classify outcomes.
     fn post_completion(&mut self, c: Completion) {
-        fn classify(obs: &SessionMetrics, result: &Result<Payload, ServeError>) {
-            match result {
-                Err(ServeError::Replay(ReplayError::Diverged(_))) => obs.on_diverge(),
-                // Success and typed failures are both terminal
-                // completions from the session's point of view.
-                _ => obs.on_complete(),
-            }
-        }
         // Terminal for this request id: release the tenant's QoS
         // in-flight slot and drop any failover state.
         if let Some((session, device)) = self.qos_tickets.remove(&c.id) {
@@ -1783,7 +1691,12 @@ impl DriverletService {
         self.retryable.remove(&c.id);
         if let Some(entry) = self.sessions.get_mut(&c.session) {
             if let Some(obs) = &entry.obs {
-                classify(obs, &c.result);
+                // Success and typed failures are both terminal completions
+                // from the session's point of view.
+                match &c.result {
+                    Err(ServeError::Replay(ReplayError::Diverged(_))) => obs.on_diverge(),
+                    _ => obs.on_complete(),
+                }
             }
             if entry.cq.post(c) {
                 SharedStats::bump(&self.stats.cq_overflows);
@@ -1822,14 +1735,11 @@ impl DriverletService {
             // a lane), everything else by its own id. Swallowed diverged
             // executions are retries in flight, not deliveries.
             self.exec_log.push(c.id);
-            match self.absorb_member(c) {
-                Absorbed::Direct(c) | Absorbed::Parent(c) => {
-                    if collect {
-                        out.push(c.clone());
-                    }
-                    self.post_completion(c);
+            if let Some(c) = self.absorb_member(c) {
+                if collect {
+                    out.push(c.clone());
                 }
-                Absorbed::Pending => {}
+                self.post_completion(c);
             }
         }
     }
@@ -1846,30 +1756,15 @@ impl DriverletService {
             return Some(c);
         }
         let origin = self.lane_id(idx).expect("reaped lanes exist").replica;
-        let (attempt, device, session) = {
-            let ctx = self.retryable.get_mut(&c.id).expect("checked present above");
-            ctx.attempts.push(FailoverAttempt { replica: origin, at_ns: c.completed_ns });
-            (ctx.attempts.len() as u32, ctx.device, ctx.session)
-        };
-        let table = self.lane_table[&device].clone();
-        // Least-loaded available sibling with depth room. The front-end
-        // is the sole inflight incrementer, so room checked here cannot
-        // vanish before the reserve below.
+        let ctx = self.retryable.get_mut(&c.id).expect("checked present above");
+        ctx.attempts.push(FailoverAttempt { replica: origin, at_ns: c.completed_ns });
+        let attempt = ctx.attempts.len() as u32;
+        let (device, session, blkid, blkcnt) = (ctx.device, ctx.session, ctx.blkid, ctx.blkcnt);
         let target = (attempt <= self.config.failover.retry_budget)
-            .then(|| {
-                (0..table.len())
-                    .filter(|&r| r != origin)
-                    .filter(|&r| {
-                        let s = &self.lanes[table[r]].shared;
-                        LaneState::from_gauge(s.metrics.state()) != LaneState::Quarantined
-                            && (s.inflight.load(Ordering::Acquire) as usize) < s.capacity
-                    })
-                    .min_by_key(|&r| self.lanes[table[r]].shared.inflight.load(Ordering::Acquire))
-            })
+            .then(|| self.least_loaded_sibling(idx, LaneFrontEnd::admit_room))
             .flatten();
-        let Some(replica) = target else {
+        let Some(target) = target else {
             let ctx = self.retryable.remove(&c.id).expect("checked present above");
-            SharedStats::bump(&self.stats.failover_exhausted);
             self.metrics.robustness().on_exhausted();
             return Some(Completion {
                 result: Err(ServeError::Exhausted { device, attempts: ctx.attempts }),
@@ -1881,12 +1776,6 @@ impl DriverletService {
         // completion stamp plus base << (attempt - 1).
         let backoff = self.config.failover.backoff_base_ns << (attempt - 1).min(20);
         let arrived_ns = c.completed_ns.saturating_add(backoff);
-        let (blkid, blkcnt) = {
-            let ctx = &self.retryable[&c.id];
-            (ctx.blkid, ctx.blkcnt)
-        };
-        let lane = &mut self.lanes[table[replica]];
-        lane.shared.reserve().expect("the target was selected with depth room");
         let pending = Pending {
             id: c.id,
             session,
@@ -1894,16 +1783,11 @@ impl DriverletService {
             submitted_ns: c.submitted_ns,
             arrived_ns,
         };
-        if lane.admit_tx.try_push(pending).is_err() {
-            // Unreachable by the reservation invariant; deliver the
-            // original divergence rather than lose the request.
-            debug_assert!(false, "reservation bounds the admit ring");
-            lane.shared.inflight.fetch_sub(1, Ordering::Release);
-            self.retryable.remove(&c.id);
-            return Some(c);
+        let host_ns = self.host_stamp();
+        if let Some((_, err)) = self.lanes[target].admit([pending], &mut self.tracer, host_ns).pop()
+        {
+            return Some(Completion { result: Err(err), ..c });
         }
-        lane.shared.unpark();
-        SharedStats::bump(&self.stats.failovers);
         self.metrics.robustness().on_failover();
         obs_event!(self.tracer, EventKind::Failover, arrived_ns, session, c.id, u64::from(attempt));
         None
@@ -1968,47 +1852,38 @@ impl DriverletService {
     /// straight to probation, a failing one leaves it quarantined.
     fn quarantine_lane(&mut self, idx: usize) {
         self.set_lane_state(idx, LaneState::Quarantined);
-        let sup = &mut self.supervision[idx];
-        sup.window.clear();
-        sup.divergences = 0;
-        sup.probation_clean = 0;
-        SharedStats::bump(&self.stats.quarantines);
+        self.supervision[idx] = LaneSupervision::default();
         self.metrics.robustness().on_quarantine();
         let virt_ns = self.lanes[idx].shared.clock.now_ns();
         obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 1);
-        // In ring mode, staged-but-undoorbelled entries would otherwise
-        // sit on the quarantined lane's SQ until the next doorbell admits
-        // them there; pull them off and re-stage clean reads on siblings.
-        if self.config.submit_mode == SubmitMode::Ring {
-            self.restage_quarantined_sq(idx);
-        }
+        // Staged-but-undoorbelled entries (ring mode) would otherwise sit
+        // on the quarantined lane's SQ until the next doorbell admits them
+        // there; pull them off and re-stage clean reads on siblings.
+        self.restage_quarantined_sq(idx);
         if let Ok(CtrlReply::Evicted(evicted)) = self.lane_ctrl(idx, CtrlReq::Evict) {
             self.replace_evicted(idx, evicted);
         }
         let _ = self.lane_ctrl(idx, CtrlReq::SetMutator(None));
-        self.probe_for_probation(idx);
+        // A passing probe enters probation; a failing one leaves the lane
+        // quarantined for a later probe.
+        if matches!(self.lane_ctrl(idx, CtrlReq::HealthCheck), Ok(CtrlReply::Health(_))) {
+            self.enter_probation(idx);
+        }
     }
 
-    /// Run the lane health probe on a quarantined lane; a pass enters
-    /// probation (watchdog arg 2 in the trace), a failure leaves the
-    /// lane quarantined for a later probe.
-    fn probe_for_probation(&mut self, idx: usize) {
-        if matches!(self.lane_ctrl(idx, CtrlReq::HealthCheck), Ok(CtrlReply::Health(_))) {
-            self.set_lane_state(idx, LaneState::Probation);
-            self.supervision[idx].probation_clean = 0;
-            let virt_ns = self.lanes[idx].shared.clock.now_ns();
-            obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 2);
-        }
+    /// Move a quarantined lane that passed its health probe to probation
+    /// (watchdog arg 2 in the trace).
+    fn enter_probation(&mut self, idx: usize) {
+        self.set_lane_state(idx, LaneState::Probation);
+        self.supervision[idx].probation_clean = 0;
+        let virt_ns = self.lanes[idx].shared.clock.now_ns();
+        obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 2);
     }
 
     /// A probation lane served its clean window: restore it.
     fn restore_lane(&mut self, idx: usize) {
         self.set_lane_state(idx, LaneState::Healthy);
-        let sup = &mut self.supervision[idx];
-        sup.window.clear();
-        sup.divergences = 0;
-        sup.probation_clean = 0;
-        SharedStats::bump(&self.stats.lane_restores);
+        self.supervision[idx] = LaneSupervision::default();
         self.metrics.robustness().on_lane_restore();
         let virt_ns = self.lanes[idx].shared.clock.now_ns();
         obs_event!(self.tracer, EventKind::LaneRestored, virt_ns, 0, idx as u64, 0);
@@ -2019,39 +1894,24 @@ impl DriverletService {
     /// reads return to the quarantined home (it still executes — only
     /// replica-independent work may move). The evicted requests kept
     /// their front-end reservations, so each re-placement first settles
-    /// the origin's accounting (un-admit) and then reserves its target.
+    /// the origin's accounting (un-admit) and then admits on its target.
     fn replace_evicted(&mut self, origin: usize, evicted: Vec<Pending>) {
-        let device = self.lanes[origin].device;
-        let table = self.lane_table[&device].clone();
         for p in evicted {
             let host_ns = self.metrics.host_now_ns();
-            {
-                let sh = &self.lanes[origin].shared;
-                sh.inflight.fetch_sub(1, Ordering::Release);
-                sh.metrics.on_requeue(host_ns);
-            }
-            let movable = matches!(&p.req, Request::Read { blkid, blkcnt, .. }
-                    if self.router.span_is_clean(device, *blkid, *blkcnt));
-            let target = movable
-                .then(|| {
-                    table
-                        .iter()
-                        .copied()
-                        .filter(|&i| i != origin)
-                        .filter(|&i| {
-                            let s = &self.lanes[i].shared;
-                            LaneState::from_gauge(s.metrics.state()) != LaneState::Quarantined
-                                && (s.inflight.load(Ordering::Acquire) as usize) < s.capacity
-                        })
-                        .min_by_key(|&i| self.lanes[i].shared.inflight.load(Ordering::Acquire))
-                })
+            let sh = &self.lanes[origin].shared;
+            sh.inflight.fetch_sub(1, Ordering::Release);
+            sh.metrics.on_requeue(host_ns);
+            // The origin just drained, so it always has room again.
+            let target = self
+                .is_movable(origin, &p.req)
+                .then(|| self.least_loaded_sibling(origin, LaneFrontEnd::admit_room))
                 .flatten()
-                // The origin just drained, so it always has room again.
                 .unwrap_or(origin);
-            let lane = &mut self.lanes[target];
-            lane.shared.reserve().expect("the eviction or the room check freed a slot");
-            lane.admit_tx.try_push(p).expect("reservation bounds the admit ring");
-            lane.shared.unpark();
+            let (id, session, submitted_ns, arrived_ns) =
+                (p.id, p.session, p.submitted_ns, p.arrived_ns);
+            if let Some((_, err)) = self.lanes[target].admit([p], &mut self.tracer, host_ns).pop() {
+                self.refuse(target, id, session, submitted_ns, arrived_ns, err);
+            }
         }
     }
 
@@ -2064,43 +1924,51 @@ impl DriverletService {
         if !self.lanes[origin].sq.producer_attached() {
             return;
         }
-        let device = self.lanes[origin].device;
-        let table = self.lane_table[&device].clone();
-        let staged = self.lanes[origin].sq.drain_staged();
-        for e in staged {
-            let movable = matches!(&e.req, Request::Read { blkid, blkcnt, .. }
-                    if self.router.span_is_clean(device, *blkid, *blkcnt));
-            let target = movable
-                .then(|| {
-                    table
-                        .iter()
-                        .copied()
-                        .filter(|&i| i != origin)
-                        .filter(|&i| {
-                            let l = &self.lanes[i];
-                            LaneState::from_gauge(l.shared.metrics.state())
-                                != LaneState::Quarantined
-                                && l.sq.producer_attached()
-                                && !l.sq.is_full()
-                        })
-                        .min_by_key(|&i| self.lanes[i].sq.len())
-                })
+        for e in self.lanes[origin].sq.drain_staged() {
+            // The origin was just drained, so it always has room again.
+            let target = self
+                .is_movable(origin, &e.req)
+                .then(|| self.least_loaded_sibling(origin, LaneFrontEnd::stage_room))
                 .flatten()
                 .unwrap_or(origin);
-            self.lanes[target]
-                .sq
-                .try_push(e)
-                .expect("the target ring was selected non-full or just drained");
+            let (id, session, enqueued_ns) = (e.id, e.session, e.enqueued_ns);
+            if let Err(err) = self.lanes[target].stage(e) {
+                self.refuse(target, id, session, enqueued_ns, enqueued_ns, err);
+            }
         }
+    }
+
+    /// Whether `req`, queued on lane `origin`, may move to a sibling
+    /// replica: only clean reads are replica-independent.
+    fn is_movable(&self, origin: usize, req: &Request) -> bool {
+        matches!(req, Request::Read { blkid, blkcnt, .. }
+            if self.router.span_is_clean(self.lanes[origin].device, *blkid, *blkcnt))
+    }
+
+    /// The least-loaded available sibling of lane `origin`: a replica lane
+    /// of the same device, not quarantined, for which `room` reports a
+    /// load with space to spare (`None` = no room). Ties go to the lowest
+    /// replica.
+    fn least_loaded_sibling(
+        &self,
+        origin: usize,
+        room: fn(&LaneFrontEnd) -> Option<usize>,
+    ) -> Option<usize> {
+        self.lane_table[&self.lanes[origin].device]
+            .iter()
+            .copied()
+            .filter(|&i| i != origin && self.lane_state(i) != LaneState::Quarantined)
+            .filter_map(|i| room(&self.lanes[i]).map(|load| (load, i)))
+            .min_by_key(|&(load, _)| load)
+            .map(|(_, i)| i)
     }
 
     /// Reap every lane `filter` selects.
     fn reap_lanes(&mut self, filter: Option<Device>, collect: bool, out: &mut Vec<Completion>) {
         for idx in 0..self.lanes.len() {
-            if filter.is_some_and(|d| self.lanes[idx].device != d) {
-                continue;
+            if filter.is_none_or(|d| self.lanes[idx].device == d) {
+                self.reap_lane(idx, collect, out);
             }
-            self.reap_lane(idx, collect, out);
         }
     }
 
@@ -2119,10 +1987,7 @@ impl DriverletService {
     /// execute (essential on single-core hosts).
     fn drain_threaded(&mut self, filter: Option<Device>) -> Vec<Completion> {
         let mut all = Vec::new();
-        for lane in &self.lanes {
-            if filter.is_some_and(|d| lane.device != d) {
-                continue;
-            }
+        for lane in self.lanes.iter().filter(|l| filter.is_none_or(|d| l.device == d)) {
             lane.shared.unpark();
         }
         loop {
@@ -2156,31 +2021,17 @@ impl DriverletService {
     /// [`DriverletService::drain_device`] to flush a single saturated lane
     /// (per-device backpressure relief).
     pub fn drain(&mut self) -> Vec<Completion> {
-        self.flush_doorbell();
-        match self.config.exec_mode {
-            ExecMode::Sequential => self.step(None),
-            ExecMode::Threaded => self.drain_threaded(None),
+        if self.config.exec_mode == ExecMode::Threaded {
+            return self.drain_all();
         }
+        self.flush_doorbell();
+        self.step(None)
     }
 
     /// Run the event loop until every lane is empty and return all
     /// completions produced (the old `drain` contract).
     pub fn drain_all(&mut self) -> Vec<Completion> {
-        self.flush_doorbell();
-        match self.config.exec_mode {
-            ExecMode::Sequential => {
-                let mut all = Vec::new();
-                loop {
-                    let step = self.step(None);
-                    if step.is_empty() {
-                        break;
-                    }
-                    all.extend(step);
-                }
-                all
-            }
-            ExecMode::Threaded => self.drain_threaded(None),
-        }
+        self.drain_until_idle(None)
     }
 
     /// Run the event loop restricted to `device` until that lane is empty
@@ -2188,20 +2039,23 @@ impl DriverletService {
     /// [`ServeError::QueueFull`] names the saturated device, leaving every
     /// other lane's queue (and hold) untouched.
     pub fn drain_device(&mut self, device: Device) -> Vec<Completion> {
+        self.drain_until_idle(Some(device))
+    }
+
+    /// Run the event loop over the lanes `filter` selects until they are
+    /// idle, returning every completion produced.
+    fn drain_until_idle(&mut self, filter: Option<Device>) -> Vec<Completion> {
         self.flush_doorbell();
-        match self.config.exec_mode {
-            ExecMode::Sequential => {
-                let mut all = Vec::new();
-                loop {
-                    let step = self.step(Some(device));
-                    if step.is_empty() {
-                        break;
-                    }
-                    all.extend(step);
-                }
-                all
+        if self.config.exec_mode == ExecMode::Threaded {
+            return self.drain_threaded(filter);
+        }
+        let mut all = Vec::new();
+        loop {
+            let step = self.step(filter);
+            if step.is_empty() {
+                return all;
             }
-            ExecMode::Threaded => self.drain_threaded(Some(device)),
+            all.extend(step);
         }
     }
 
@@ -2366,9 +2220,7 @@ impl DriverletService {
         id: LaneId,
         plan: FaultPlan,
     ) -> Result<Arc<Mutex<FlipOutcome>>, ServeError> {
-        let idx = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+        let idx = self.lane_at(id)?;
         let (flipper, outcome) = ConstraintFlipper::new(plan);
         self.lane_ctrl(idx, CtrlReq::SetMutator(Some(Box::new(flipper))))?;
         Ok(outcome)
@@ -2383,9 +2235,7 @@ impl DriverletService {
 
     /// [`DriverletService::clear_fault`] with replica-lane addressing.
     pub fn clear_fault_at(&mut self, id: LaneId) -> Result<(), ServeError> {
-        let idx = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+        let idx = self.lane_at(id)?;
         self.lane_ctrl(idx, CtrlReq::SetMutator(None)).map(|_| ())
     }
 
@@ -2412,16 +2262,11 @@ impl DriverletService {
     /// watchdog's own post-quarantine probe had passed, and the returned
     /// snapshot reflects the new state.
     pub fn lane_health_check_at(&mut self, id: LaneId) -> Result<LaneHealth, ServeError> {
-        let idx = self
-            .lane_of(id)
-            .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))?;
+        let idx = self.lane_at(id)?;
         match self.lane_ctrl(idx, CtrlReq::HealthCheck)? {
             CtrlReply::Health(mut health) => {
                 if self.config.supervise.enabled && self.lane_state(idx) == LaneState::Quarantined {
-                    self.set_lane_state(idx, LaneState::Probation);
-                    self.supervision[idx].probation_clean = 0;
-                    let virt_ns = self.lanes[idx].shared.clock.now_ns();
-                    obs_event!(self.tracer, EventKind::Quarantine, virt_ns, 0, idx as u64, 2);
+                    self.enter_probation(idx);
                     health.state = LaneState::Probation;
                 }
                 Ok(health)
@@ -2569,8 +2414,12 @@ impl LaneSubmitter {
         match self.producer.try_push(SqEntry { id, session, req, enqueued_ns }) {
             Ok(_) => {
                 obs_event!(self.tracer, EventKind::Submitted, enqueued_ns, session, id, 0);
+                // Only a live session's series counts the submit: a stale
+                // session must not resurrect the series its close retired.
                 if self.metrics.is_enabled() {
-                    self.metrics.session(session).on_submit();
+                    if let Some(obs) = self.metrics.live_session(session) {
+                        obs.on_submit();
+                    }
                 }
                 SharedStats::bump(&self.stats.submitted);
                 Ok(id)
@@ -3599,6 +3448,18 @@ mod tests {
             s.take_completions(sess);
             s.close_session(sess);
         }
+        // Staging through a detached submitter for sessions that are
+        // already closed must not resurrect their series either.
+        let mut submitter = s.lane_submitter(0).unwrap();
+        for i in 0..20u32 {
+            let sess = s.open_session().unwrap();
+            s.close_session(sess);
+            submitter
+                .stage(sess, Request::Read { device: Device::Mmc, blkid: i % 8, blkcnt: 1 })
+                .unwrap();
+        }
+        s.ring_doorbell().unwrap();
+        s.drain_all();
         // Only the live sessions keep a series; churned ones are gone.
         assert_eq!(s.metrics.session_series_count(), 1, "closed sessions left no series behind");
         let snap = s.metrics_snapshot().unwrap();
