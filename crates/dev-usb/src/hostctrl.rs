@@ -323,6 +323,11 @@ impl MmioDevice for UsbHostController {
     fn is_idle(&self) -> bool {
         self.pending.is_none()
     }
+
+    fn quiet_until_ns(&self) -> Option<u64> {
+        // A tick only completes the pending channel transfer.
+        Some(self.pending.as_ref().map_or(u64::MAX, |p| p.done_ns))
+    }
 }
 
 #[cfg(test)]

@@ -537,6 +537,15 @@ impl MmioDevice for Vc4Vchiq {
     fn is_idle(&self) -> bool {
         self.pending.is_empty()
     }
+
+    fn quiet_until_ns(&self) -> Option<u64> {
+        // A tick only delivers due replies, and only into a mapped queue;
+        // `pending` is sorted by due time.
+        match (self.queue_base, self.pending.first()) {
+            (Some(_), Some(first)) => Some(first.due_ns),
+            _ => Some(u64::MAX),
+        }
+    }
 }
 
 #[cfg(test)]

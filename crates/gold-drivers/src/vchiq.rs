@@ -317,6 +317,18 @@ mod tests {
     }
 
     #[test]
+    fn a_capture_waits_out_the_sensor_in_few_clock_steps() {
+        // The bus reaches VC4 through `SharedDevice`, which must forward
+        // `quiet_until_ns`: without it the bus cannot skip idle poll quanta,
+        // and the 2.4 s capture walks 10 us steps (~241k clock advances).
+        let (p, _sys, mut drv) = rig();
+        let mut buf = vec![0u8; 2 << 20];
+        drv.capture(1, CameraResolution::R1440p, &mut buf).unwrap();
+        let steps = p.clock.lock().advance_count();
+        assert!(steps < 2_000, "one capture took {steps} clock advances");
+    }
+
+    #[test]
     fn too_small_buffer_is_rejected_locally() {
         let (_p, _sys, mut drv) = rig();
         let mut buf = vec![0u8; 1024];

@@ -276,13 +276,34 @@ impl SystemBus {
         }
     }
 
+    /// The earliest time at which any attached device could act on its own
+    /// (see [`MmioDevice::quiet_until_ns`]); `None` unless every device
+    /// vouches.
+    fn quiet_until_ns(&self) -> Option<u64> {
+        self.devices.iter().try_fold(u64::MAX, |quiet, s| Some(quiet.min(s.dev.quiet_until_ns()?)))
+    }
+
     /// Wait for interrupt `line` to become pending, advancing virtual time.
     ///
     /// Returns the number of virtual microseconds waited. Fails with
-    /// [`HwError::Timeout`] after `timeout_us`.
+    /// [`HwError::Timeout`] once `timeout_us` has passed; a timeout that
+    /// reaches past the end of virtual time saturates rather than wraps.
+    ///
+    /// Between checks for the interrupt, time moves by one of two rules:
+    ///
+    /// * **Exact deadline.** When an interrupt assertion or a device's
+    ///   [`MmioDevice::next_deadline_ns`] falls after now and no later than
+    ///   the timeout, the clock jumps straight to the earliest one.
+    /// * **Poll grid.** Otherwise the wait advances one `poll_delay_ns`
+    ///   quantum and ticks every device. When every attached device
+    ///   vouches through [`MmioDevice::quiet_until_ns`], none of the ticks
+    ///   before the earliest vouched time (or the timeout, if sooner) can
+    ///   change anything, so the clock lands on the first grid instant at
+    ///   or after it in one step: the same instant, in the same state, that
+    ///   stepping quantum by quantum reaches.
     pub fn wait_for_irq(&mut self, line: u32, timeout_us: u64, _world: World) -> HwResult<u64> {
         let start = self.clock.lock().now_ns();
-        let deadline = start + timeout_us * 1_000;
+        let deadline = self.clock.lock().deadline_after_us(timeout_us);
         let quantum_ns = self.clock.lock().cost().poll_delay_ns.max(1);
         loop {
             self.tick_all();
@@ -299,13 +320,14 @@ impl SystemBus {
                     waited_us: (now - start) / 1_000,
                 });
             }
-            // Jump straight to the next scheduled event when one exists,
-            // otherwise advance by the polling quantum.
-            let next = self.next_event_ns();
-            let mut clock = self.clock.lock();
-            match next {
-                Some(d) if d > now && d <= deadline => clock.advance_to(d),
-                _ => clock.advance_ns(quantum_ns),
+            match self.next_event_ns() {
+                Some(d) if d > now && d <= deadline => self.clock.lock().advance_to(d),
+                _ => {
+                    let quanta = self.quiet_until_ns().map_or(1, |quiet| {
+                        quiet.min(deadline).saturating_sub(now).div_ceil(quantum_ns).max(1)
+                    });
+                    self.clock.lock().advance_ns(quanta.saturating_mul(quantum_ns));
+                }
             }
         }
     }

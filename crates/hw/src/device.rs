@@ -52,13 +52,33 @@ pub trait MmioDevice: Send {
         true
     }
 
-    /// The next virtual time at which this device will make progress on its
-    /// own (an internal completion deadline such as media latency), if one
-    /// is known. The bus uses it to jump idle waits straight to the next
-    /// event instead of quantum-stepping, which keeps simulated waits off
-    /// the replay hot path. Returning `None` (the default) falls back to
-    /// quantum stepping and is always correct.
+    /// An exact wake time: the next virtual time at which this device will
+    /// make progress on its own (an internal completion deadline such as
+    /// media latency), if the device model defines its progress at that
+    /// instant. [`crate::SystemBus::wait_for_irq`] jumps an idle wait
+    /// straight to the earliest such deadline, so reporting one changes
+    /// *when* the device is ticked — it is part of the timing model, not
+    /// an optimisation. `None` (the default) leaves the device on the poll
+    /// grid (see [`MmioDevice::quiet_until_ns`]).
     fn next_deadline_ns(&self) -> Option<u64> {
+        None
+    }
+
+    /// The vouch for the poll grid: the earliest virtual time at which
+    /// [`MmioDevice::tick`] could change anything — device state, memory,
+    /// an interrupt line or the answer of [`MmioDevice::next_deadline_ns`].
+    /// A tick at any earlier time must be a no-op. `Some(u64::MAX)` means
+    /// the device never acts on its own until it is next accessed.
+    ///
+    /// A device without an exact deadline is ticked once per
+    /// `poll_delay_ns` quantum while a driver waits for an interrupt. When
+    /// every attached device vouches, the bus advances to the first grid
+    /// instant at or after the earliest vouched time in one clock step:
+    /// the ticks it skips could not have changed anything, so virtual time
+    /// is exactly what stepping would produce. `None` (the default) means
+    /// the device cannot say and keeps the bus stepping one quantum at a
+    /// time, which is always correct.
+    fn quiet_until_ns(&self) -> Option<u64> {
         None
     }
 }
@@ -120,6 +140,9 @@ impl<T: MmioDevice> MmioDevice for SharedDevice<T> {
     }
     fn next_deadline_ns(&self) -> Option<u64> {
         self.0.lock().next_deadline_ns()
+    }
+    fn quiet_until_ns(&self) -> Option<u64> {
+        self.0.lock().quiet_until_ns()
     }
 }
 
