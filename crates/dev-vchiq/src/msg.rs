@@ -56,7 +56,7 @@ impl CameraResolution {
     /// Deterministic by design: the device FSM and the frame size depend only
     /// on the configured resolution, never on scene content — the
     /// data-independence prerequisite of §3.1.
-    pub fn frame_bytes(self) -> u32 {
+    pub const fn frame_bytes(self) -> u32 {
         match self {
             CameraResolution::R720p => 311_296,    // 304 KiB
             CameraResolution::R1080p => 622_592,   // 608 KiB
@@ -203,10 +203,39 @@ impl MmalMessage {
 /// The content carries valid SOI/EOI markers so the paper's "captured images
 /// are in the valid JPEG format" validation (§8.2.1) has something real to
 /// check, and a frame counter + resolution tag so tests can verify that
-/// distinct captures yield distinct images.
+/// distinct captures yield distinct images. Allocates the frame and fills it
+/// with [`synth_jpeg_into`].
 pub fn synth_jpeg(resolution: CameraResolution, frame_no: u32) -> Vec<u8> {
+    let mut out = vec![0u8; resolution.frame_bytes() as usize];
+    synth_jpeg_into(resolution, frame_no, &mut out);
+    out
+}
+
+/// Bytes before the pseudo-random body: SOI, then an APP0 marker carrying
+/// the frame number and the resolution code.
+const FRAME_HEAD_BYTES: usize = 12;
+/// Bytes after the body: the EOI marker.
+const FRAME_TAIL_BYTES: usize = 2;
+/// Interleaved xorshift chains the frame body is generated on.
+const CHAINS: usize = 4;
+
+/// Write the synthetic JPEG frame for `frame_no` into `out`, which must be
+/// exactly `resolution.frame_bytes()` long.
+///
+/// Byte-identity contract: the result is byte for byte the frame of one
+/// serial xorshift64 stream seeded by frame number and resolution, whose
+/// successive states fill the body in 8-byte little-endian words (the last
+/// word truncated to fit). The body is generated on four interleaved
+/// chains, each started at its segment's offset in that one stream by a
+/// precomputed jump (see DESIGN.md, "Simulated frames"), so the bytes do not
+/// depend on how they are generated.
+///
+/// # Panics
+///
+/// If `out.len()` differs from `resolution.frame_bytes()`.
+pub fn synth_jpeg_into(resolution: CameraResolution, frame_no: u32, out: &mut [u8]) {
     let len = resolution.frame_bytes() as usize;
-    let mut out = vec![0u8; len];
+    assert_eq!(out.len(), len, "frame buffer must be exactly one {resolution:?} frame");
     // SOI marker.
     out[0] = 0xff;
     out[1] = 0xd8;
@@ -216,22 +245,107 @@ pub fn synth_jpeg(resolution: CameraResolution, frame_no: u32) -> Vec<u8> {
     out[4..8].copy_from_slice(&frame_no.to_le_bytes());
     out[8..12].copy_from_slice(&resolution.code().to_le_bytes());
     // Deterministic pseudo-random body (xorshift seeded by frame + resolution).
-    let mut state =
-        (u64::from(frame_no) << 32) ^ u64::from(resolution.code()) ^ 0x9e37_79b9_7f4a_7c15;
-    let body = &mut out[12..len - 2];
-    for chunk in body.chunks_mut(8) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let bytes = state.to_le_bytes();
+    let seed = (u64::from(frame_no) << 32) ^ u64::from(resolution.code()) ^ 0x9e37_79b9_7f4a_7c15;
+    let body = &mut out[FRAME_HEAD_BYTES..len - FRAME_TAIL_BYTES];
+    let seg_bytes = chain_words(resolution) * 8;
+    let (chained, tail) = body.split_at_mut(CHAINS * seg_bytes);
+    let jump = jump_matrix(resolution);
+    let mut states = [seed; CHAINS];
+    for j in 1..CHAINS {
+        states[j] = gf2_apply(jump, states[j - 1]);
+    }
+    let mut segments = chained.chunks_exact_mut(seg_bytes);
+    let mut segments: [&mut [u8]; CHAINS] =
+        std::array::from_fn(|_| segments.next().expect("the chained span holds CHAINS segments"));
+    for w in (0..seg_bytes).step_by(8) {
+        for (state, segment) in states.iter_mut().zip(segments.iter_mut()) {
+            *state = xorshift64(*state);
+            segment[w..w + 8].copy_from_slice(&state.to_le_bytes());
+        }
+    }
+    // The last chain ends where the tail begins in the serial stream.
+    let mut state = states[CHAINS - 1];
+    for chunk in tail.chunks_mut(8) {
+        state = xorshift64(state);
         let n = chunk.len();
-        chunk.copy_from_slice(&bytes[..n]);
+        chunk.copy_from_slice(&state.to_le_bytes()[..n]);
     }
     // Avoid accidental EOI markers in the body would be overkill; just ensure
     // the real EOI terminates the stream.
     out[len - 2] = 0xff;
     out[len - 1] = 0xd9;
-    out
+}
+
+/// One step of the body's xorshift64 generator.
+const fn xorshift64(mut s: u64) -> u64 {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    s
+}
+
+/// Full 8-byte body words each chain generates at `resolution`.
+const fn chain_words(resolution: CameraResolution) -> usize {
+    (resolution.frame_bytes() as usize - FRAME_HEAD_BYTES - FRAME_TAIL_BYTES) / 8 / CHAINS
+}
+
+/// A 64x64 bit matrix over GF(2), stored by columns: column `i` is the
+/// image of the unit vector `1 << i`.
+type Gf2Matrix = [u64; 64];
+
+/// Multiply the matrix `m` by the bit vector `v`.
+const fn gf2_apply(m: &Gf2Matrix, v: u64) -> u64 {
+    let mut r = 0;
+    let mut i = 0;
+    while i < 64 {
+        r ^= m[i] & 0u64.wrapping_sub((v >> i) & 1);
+        i += 1;
+    }
+    r
+}
+
+/// The matrix product `a · b`.
+const fn gf2_mul(a: &Gf2Matrix, b: &Gf2Matrix) -> Gf2Matrix {
+    let mut c = [0u64; 64];
+    let mut i = 0;
+    while i < 64 {
+        c[i] = gf2_apply(a, b[i]);
+        i += 1;
+    }
+    c
+}
+
+/// The matrix of `k` xorshift64 steps: xorshift64 is linear over GF(2)^64,
+/// so `k` steps are the `k`-th power of the one-step matrix.
+const fn xorshift64_jump(mut k: usize) -> Gf2Matrix {
+    let mut step = [0u64; 64];
+    let mut power = [0u64; 64];
+    let mut i = 0;
+    while i < 64 {
+        step[i] = xorshift64(1 << i);
+        power[i] = 1 << i;
+        i += 1;
+    }
+    while k > 0 {
+        if k & 1 == 1 {
+            power = gf2_mul(&step, &power);
+        }
+        step = gf2_mul(&step, &step);
+        k >>= 1;
+    }
+    power
+}
+
+/// The jump from one chain's start to the next at `resolution`.
+fn jump_matrix(resolution: CameraResolution) -> &'static Gf2Matrix {
+    static JUMP_720P: Gf2Matrix = xorshift64_jump(chain_words(CameraResolution::R720p));
+    static JUMP_1080P: Gf2Matrix = xorshift64_jump(chain_words(CameraResolution::R1080p));
+    static JUMP_1440P: Gf2Matrix = xorshift64_jump(chain_words(CameraResolution::R1440p));
+    match resolution {
+        CameraResolution::R720p => &JUMP_720P,
+        CameraResolution::R1080p => &JUMP_1080P,
+        CameraResolution::R1440p => &JUMP_1440P,
+    }
 }
 
 /// Check that a byte buffer looks like one of our synthetic JPEG frames.
@@ -254,6 +368,75 @@ pub fn frame_number(data: &[u8]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The serial single-chain generator `synth_jpeg_into` must reproduce,
+    /// kept verbatim as the oracle.
+    fn reference_synth_jpeg(resolution: CameraResolution, frame_no: u32) -> Vec<u8> {
+        let len = resolution.frame_bytes() as usize;
+        let mut out = vec![0u8; len];
+        // SOI marker.
+        out[0] = 0xff;
+        out[1] = 0xd8;
+        // APP0 header carrying the frame number and resolution for validation.
+        out[2] = 0xff;
+        out[3] = 0xe0;
+        out[4..8].copy_from_slice(&frame_no.to_le_bytes());
+        out[8..12].copy_from_slice(&resolution.code().to_le_bytes());
+        // Deterministic pseudo-random body (xorshift seeded by frame + resolution).
+        let mut state =
+            (u64::from(frame_no) << 32) ^ u64::from(resolution.code()) ^ 0x9e37_79b9_7f4a_7c15;
+        let body = &mut out[12..len - 2];
+        for chunk in body.chunks_mut(8) {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let bytes = state.to_le_bytes();
+            let n = chunk.len();
+            chunk.copy_from_slice(&bytes[..n]);
+        }
+        // Avoid accidental EOI markers in the body would be overkill; just ensure
+        // the real EOI terminates the stream.
+        out[len - 2] = 0xff;
+        out[len - 1] = 0xd9;
+        out
+    }
+
+    fn assert_matches_reference(resolution: CameraResolution, frame_no: u32) {
+        let mut out = vec![0u8; resolution.frame_bytes() as usize];
+        synth_jpeg_into(resolution, frame_no, &mut out);
+        assert!(
+            out == reference_synth_jpeg(resolution, frame_no),
+            "{resolution:?} frame {frame_no} differs from the serial generator"
+        );
+    }
+
+    #[test]
+    fn chained_generator_matches_serial_at_edge_frame_numbers() {
+        for resolution in CameraResolution::all() {
+            for frame_no in [0, 1, 7, 12_345, u32::MAX] {
+                assert_matches_reference(resolution, frame_no);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn chained_generator_matches_serial(res in 0usize..3, frame_no in any::<u32>()) {
+            assert_matches_reference(CameraResolution::all()[res], frame_no);
+        }
+
+        #[test]
+        fn jump_matrix_equals_repeated_steps(state in any::<u64>(), k in 0usize..=64) {
+            let mut stepped = state;
+            for _ in 0..k {
+                stepped = xorshift64(stepped);
+            }
+            prop_assert_eq!(gf2_apply(&xorshift64_jump(k), state), stepped);
+        }
+    }
 
     #[test]
     fn resolution_codes_round_trip() {

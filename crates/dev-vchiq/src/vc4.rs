@@ -10,7 +10,7 @@ use dlt_hw::device::{MmioDevice, RegBank};
 use dlt_hw::irq::lines;
 use dlt_hw::{CostModel, IrqController, PhysMem, Shared};
 
-use crate::msg::{synth_jpeg, CameraResolution, MmalMessage, MsgType};
+use crate::msg::{synth_jpeg_into, CameraResolution, MmalMessage, MsgType};
 use crate::queue::{self, pagelist, RX_AREA_OFF, TX_AREA_OFF};
 use crate::regs;
 use crate::{VCHIQ_BASE, VCHIQ_LEN};
@@ -27,6 +27,8 @@ pub mod error_code {
     pub const SENSOR_LOST: u32 = 4;
     /// Malformed message.
     pub const BAD_MESSAGE: u32 = 5;
+    /// The page list names no span of RAM the frame fits in.
+    pub const BAD_BUFFER: u32 = 6;
 }
 
 /// MMAL service handle handed out on OpenService.
@@ -45,7 +47,6 @@ struct PendingReply {
 #[derive(Debug, Clone)]
 struct CaptureJob {
     pg_list: u64,
-    buf_size: u32,
     resolution: CameraResolution,
     frame_no: u32,
 }
@@ -351,30 +352,38 @@ impl Vc4Vchiq {
         self.queue_reply(
             now_ns + latency,
             MmalMessage::new(MsgType::BufferToHost, SERVICE_HANDLE, vec![expected, frame_no]),
-            Some(CaptureJob { pg_list, buf_size, resolution, frame_no }),
+            Some(CaptureJob { pg_list, resolution, frame_no }),
         );
     }
 
-    fn materialise_frame(&mut self, job: &CaptureJob) {
-        let frame = synth_jpeg(job.resolution, job.frame_no);
-        let to_write = frame.len().min(job.buf_size as usize);
+    /// Generate the frame straight into the host buffer; returns whether it
+    /// landed. `handle_capture` has already checked that the buffer holds a
+    /// whole frame.
+    fn materialise_frame(&mut self, job: &CaptureJob) -> bool {
+        let len = job.resolution.frame_bytes();
         let mut mem = self.mem.lock();
-        let num_pages = mem.read32(job.pg_list + pagelist::NUM_PAGES).unwrap_or(0) as usize;
+        let num_pages = mem.read32(job.pg_list + pagelist::NUM_PAGES).unwrap_or(0);
         // The page list describes a physically contiguous span starting at the
         // first page entry (the host allocator hands out contiguous buffers);
         // VC4 streams the frame into it, honouring the page count as an upper
         // bound on the span it may touch.
         let first_page = mem.read32(job.pg_list + pagelist::FIRST_PAGE).unwrap_or(0);
-        let mut written = 0usize;
-        if first_page != 0 && num_pages > 0 {
-            let span = to_write;
-            let _ = mem.write_bytes(u64::from(first_page), &frame[..span]);
-            written = span;
-        }
+        let landed = first_page != 0
+            && num_pages > 0
+            && match mem.bytes_mut(u64::from(first_page), len as usize) {
+                Ok(span) => {
+                    synth_jpeg_into(job.resolution, job.frame_no, span);
+                    true
+                }
+                Err(_) => false,
+            };
         // Record how many bytes actually landed in the buffer.
-        let _ = mem.write32(job.pg_list + pagelist::TOTAL_LEN, written as u32);
+        let _ = mem.write32(job.pg_list + pagelist::TOTAL_LEN, if landed { len } else { 0 });
         drop(mem);
-        self.frames_produced += 1;
+        if landed {
+            self.frames_produced += 1;
+        }
+        landed
     }
 
     fn process_doorbell(&mut self, now_ns: u64) {
@@ -420,9 +429,16 @@ impl Vc4Vchiq {
             if first.due_ns > now_ns {
                 break;
             }
-            let reply = self.pending.remove(0);
+            let mut reply = self.pending.remove(0);
             if let Some(job) = &reply.capture {
-                self.materialise_frame(job);
+                if !self.materialise_frame(job) {
+                    self.errors_signalled += 1;
+                    reply.msg = MmalMessage::new(
+                        MsgType::Error,
+                        SERVICE_HANDLE,
+                        vec![error_code::BAD_BUFFER],
+                    );
+                }
             }
             let next = {
                 let mut mem = self.mem.lock();
@@ -737,6 +753,26 @@ mod tests {
         let reply = rig.recv();
         assert_eq!(reply.mtype, MsgType::Error);
         assert_eq!(reply.payload[0], error_code::BUFFER_TOO_SMALL);
+    }
+
+    #[test]
+    fn frame_that_does_not_fit_in_ram_is_an_error_not_a_frame() {
+        let mut rig = Rig::new();
+        let img_size = rig.init_camera(CameraResolution::R720p);
+        rig.build_page_list(2 << 20);
+        let near_end = rig.mem.lock().end() - pagelist::PAGE_BYTES as u64;
+        rig.mem.lock().write32(PG_LIST + pagelist::FIRST_PAGE, near_end as u32).unwrap();
+        rig.send(MmalMessage::new(
+            MsgType::BufferFromHost,
+            SERVICE_HANDLE,
+            vec![PG_LIST as u32, 2 << 20, img_size],
+        ));
+        let reply = rig.recv();
+        assert_eq!(reply.mtype, MsgType::Error);
+        assert_eq!(reply.payload[0], error_code::BAD_BUFFER);
+        assert_eq!(rig.mem.lock().read32(PG_LIST + pagelist::TOTAL_LEN).unwrap(), 0);
+        assert_eq!(rig.vc4.frames_produced(), 0);
+        assert_eq!(rig.vc4.errors_signalled(), 1);
     }
 
     #[test]

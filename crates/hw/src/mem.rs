@@ -140,6 +140,13 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Mutable view of the `len` bytes starting at `addr`, for a device that
+    /// generates data straight into memory instead of copying it in.
+    pub fn bytes_mut(&mut self, addr: u64, len: usize) -> HwResult<&mut [u8]> {
+        let off = self.offset(addr, len)?;
+        Ok(&mut self.data[off..off + len])
+    }
+
     /// Fill `len` bytes starting at `addr` with `val`.
     pub fn fill(&mut self, addr: u64, len: usize, val: u8) -> HwResult<()> {
         let off = self.offset(addr, len)?;
