@@ -941,8 +941,8 @@ fn wall_clock_arm(
         for lane in 0..lanes {
             let blkid = 1024 + (i % 48) as u32 * 8;
             service
-                .submit_to_lane(
-                    lane,
+                .submit_to(
+                    service.lane_id(lane).expect("replica lane"),
                     session,
                     Request::Read { device: Device::Mmc, blkid, blkcnt: 8 },
                 )
@@ -1155,7 +1155,7 @@ fn run_failover_experiment() -> FailoverSample {
         DriverletService::with_driverlets(&devices, config).expect("build failover service");
     let session = service.open_session().expect("open session");
     service
-        .inject_fault_at(
+        .inject_fault(
             LaneId { device: Device::Mmc, replica: 0 },
             FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
         )
@@ -1188,7 +1188,7 @@ fn run_failover_experiment() -> FailoverSample {
     let lost = submitted - completions.len() as u64;
     let stats = service.stats();
     let health = service
-        .lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 })
+        .lane_health_check(LaneId { device: Device::Mmc, replica: 0 })
         .expect("health check");
     FailoverSample {
         replicas: REPLICAS,

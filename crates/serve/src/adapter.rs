@@ -34,15 +34,7 @@ impl ServedBlockDev {
     }
 
     fn roundtrip(&mut self, req: Request) -> Result<Payload, String> {
-        let id = self.service.submit(self.session, req).map_err(|e| e.to_string())?;
-        self.service.drain_all();
-        self.service
-            .take_completions(self.session)
-            .into_iter()
-            .find(|c| c.id == id)
-            .ok_or_else(|| "completion lost".to_string())?
-            .result
-            .map_err(|e| e.to_string())
+        self.service.roundtrip(self.session, req).map_err(|e| e.to_string())
     }
 }
 

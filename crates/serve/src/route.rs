@@ -19,6 +19,10 @@
 //!   with `QueueFull` — the power-of-two-choices idea, generalised to
 //!   d-choices because scanning a ≤16-replica fleet is cheaper than
 //!   sampling it.
+//! * **Pinned** plans: a caller that names its replica
+//!   ([`DriverletService::submit_to`]) gets one unsplit, unspilled part
+//!   on that replica, admitted against that replica's load alone. It is
+//!   still a plan, so a pinned write dirties its chunks like any other.
 //!
 //! ## Why placement must be deterministic
 //!
@@ -38,13 +42,17 @@
 //! touches is **clean** — no write was ever routed into it — because
 //! clean chunks are byte-identical fleet-wide (same bundle, fresh
 //! platform) and a read of them commutes with every legal serial order.
-//! The router tracks dirtied chunks at routing time, which is submission
-//! order (the front-end is single-threaded), so the check is exact, and
-//! marking is conservative: a staged write that is later rejected at the
+//! Every client write is planned here — routed, pinned or per-call — so
+//! the router tracks dirtied chunks at routing time, which is submission
+//! order (the front-end is single-threaded), and the check is exact.
+//! Marking is conservative: a staged write that is later rejected at the
 //! doorbell leaves its chunks marked dirty, which only forfeits future
-//! spill opportunities, never correctness. Writes never spill.
+//! spill opportunities, never correctness. Writes never spill. A write
+//! pinned *off* its home replica is the caller's placement: routed reads
+//! of that chunk still go home and see the home's bytes.
 //!
 //! [`DriverletService::submit`]: crate::DriverletService::submit
+//! [`DriverletService::submit_to`]: crate::DriverletService::submit_to
 
 use std::collections::HashSet;
 
@@ -59,6 +67,14 @@ pub struct LaneId {
     /// Replica ordinal within the class (0-based, in construction
     /// order).
     pub replica: usize,
+}
+
+/// A bare device names its first replica — the single-replica address
+/// the control-plane operations default to.
+impl From<Device> for LaneId {
+    fn from(device: Device) -> Self {
+        LaneId { device, replica: 0 }
+    }
 }
 
 impl std::fmt::Display for LaneId {
@@ -92,13 +108,14 @@ pub enum RoutePolicy {
 }
 
 impl RoutePolicy {
-    /// Placement granularity in blocks (`None` = never split: the whole
-    /// address space is one chunk).
-    fn chunk_blocks(&self) -> Option<u32> {
+    /// Placement granularity in blocks. [`RoutePolicy::Pinned`] never
+    /// splits: the whole address space is chunk 0 (a request ends below
+    /// `u32::MAX`, which `validate_request` guarantees).
+    fn chunk_blocks(&self) -> u32 {
         match self {
-            RoutePolicy::Pinned => None,
-            RoutePolicy::HashShard { chunk_blocks } => Some((*chunk_blocks).max(1)),
-            RoutePolicy::Stripe { stripe_blocks } => Some((*stripe_blocks).max(1)),
+            RoutePolicy::Pinned => u32::MAX,
+            RoutePolicy::HashShard { chunk_blocks } => (*chunk_blocks).max(1),
+            RoutePolicy::Stripe { stripe_blocks } => (*stripe_blocks).max(1),
         }
     }
 
@@ -115,11 +132,7 @@ impl RoutePolicy {
     /// Home replica of block `blkid` in an `replicas`-wide fleet — the
     /// pure placement function (what "same block → same replica" means).
     pub fn replica_for(&self, blkid: u32, replicas: usize) -> usize {
-        let chunk = match self.chunk_blocks() {
-            Some(cb) => u64::from(blkid) / u64::from(cb),
-            None => 0,
-        };
-        self.replica_for_chunk(chunk, replicas)
+        self.replica_for_chunk(u64::from(blkid / self.chunk_blocks()), replicas)
     }
 }
 
@@ -216,15 +229,17 @@ impl Router {
         Router { policy: config.policy, spill: config.spill, dirty: HashSet::new() }
     }
 
-    /// Plan `req` across a fleet of `loads.len()` replicas. Returns the
-    /// parts to submit (all-or-nothing: on `Err` nothing was planned and
-    /// no chunk was dirtied), accounting for the parts' own occupancy so
-    /// a fan-out cannot overcommit one lane.
+    /// Plan `req` across a fleet of `loads.len()` replicas, or — when
+    /// `pin` names a replica — onto that replica alone. Returns the parts
+    /// to submit (all-or-nothing: on `Err` nothing was planned and no
+    /// chunk was dirtied), accounting for the parts' own occupancy so a
+    /// fan-out cannot overcommit one lane.
     pub(crate) fn plan(
         &mut self,
         session: SessionId,
         req: &Request,
         loads: &[LaneLoad],
+        pin: Option<usize>,
     ) -> Result<Vec<RoutePart>, RouteReject> {
         let n = loads.len().max(1);
         let device = req.device();
@@ -236,7 +251,7 @@ impl Router {
                 // (deterministic, keeps one tenant's frames — and their
                 // lane-local capture history — on one camera). Never
                 // spilled: frame content may depend on that history.
-                let replica = (splitmix64(u64::from(session)) % n as u64) as usize;
+                let replica = pin.unwrap_or((splitmix64(u64::from(session)) % n as u64) as usize);
                 if loads[replica].depth >= loads[replica].capacity {
                     return Err(self.reject(replica, loads, &[]));
                 }
@@ -245,31 +260,27 @@ impl Router {
         };
 
         // Split the span at chunk boundaries, merging adjacent chunks
-        // that share a home into one part.
+        // that share a home into one part; a pinned span stays whole.
         let mut parts: Vec<RoutePart> = Vec::with_capacity(1);
         let end = u64::from(blkid) + u64::from(blkcnt.max(1)) - 1;
-        match self.policy.chunk_blocks() {
-            None => {
-                parts.push(RoutePart { replica: 0, blkid, blkcnt, spilled: false });
-            }
-            Some(cb) => {
-                let cb = u64::from(cb);
-                let (first, last) = (u64::from(blkid) / cb, end / cb);
-                for chunk in first..=last {
-                    let home = self.policy.replica_for_chunk(chunk, n);
-                    let lo = (chunk * cb).max(u64::from(blkid));
-                    let hi = ((chunk + 1) * cb - 1).min(end);
-                    match parts.last_mut() {
-                        Some(prev) if prev.replica == home => {
-                            prev.blkcnt += (hi - lo + 1) as u32;
-                        }
-                        _ => parts.push(RoutePart {
-                            replica: home,
-                            blkid: lo as u32,
-                            blkcnt: (hi - lo + 1) as u32,
-                            spilled: false,
-                        }),
+        let cb = u64::from(self.policy.chunk_blocks());
+        if let Some(replica) = pin {
+            parts.push(RoutePart { replica, blkid, blkcnt, spilled: false });
+        } else {
+            for chunk in (u64::from(blkid) / cb)..=(end / cb) {
+                let home = self.policy.replica_for_chunk(chunk, n);
+                let lo = (chunk * cb).max(u64::from(blkid));
+                let hi = ((chunk + 1) * cb - 1).min(end);
+                match parts.last_mut() {
+                    Some(prev) if prev.replica == home => {
+                        prev.blkcnt += (hi - lo + 1) as u32;
                     }
+                    _ => parts.push(RoutePart {
+                        replica: home,
+                        blkid: lo as u32,
+                        blkcnt: (hi - lo + 1) as u32,
+                        spilled: false,
+                    }),
                 }
             }
         }
@@ -283,7 +294,11 @@ impl Router {
         for part in &mut parts {
             let fits =
                 |r: usize, planned: &[usize]| loads[r].depth + planned[r] < loads[r].capacity;
-            let spillable = self.spill && !is_write && n > 1 && self.part_is_clean(device, part);
+            let spillable = pin.is_none()
+                && self.spill
+                && !is_write
+                && n > 1
+                && self.part_is_clean(device, part);
             let home_fits = fits(part.replica, &planned);
             if home_fits && (loads[part.replica].available || !spillable) {
                 planned[part.replica] += 1;
@@ -314,11 +329,8 @@ impl Router {
         }
 
         if is_write {
-            if let Some(cb) = self.policy.chunk_blocks() {
-                let cb = u64::from(cb);
-                for chunk in (u64::from(blkid) / cb)..=(end / cb) {
-                    self.dirty.insert((device, chunk));
-                }
+            for chunk in (u64::from(blkid) / cb)..=(end / cb) {
+                self.dirty.insert((device, chunk));
             }
         }
         Ok(parts)
@@ -333,13 +345,10 @@ impl Router {
     }
 
     /// Whether every chunk the part touches is clean (never dirtied by a
-    /// routed write) — the condition under which the part's bytes are
+    /// planned write) — the condition under which the part's bytes are
     /// identical on every replica.
     fn part_is_clean(&self, device: Device, part: &RoutePart) -> bool {
-        let Some(cb) = self.policy.chunk_blocks() else {
-            return self.dirty.is_empty();
-        };
-        let cb = u64::from(cb);
+        let cb = u64::from(self.policy.chunk_blocks());
         let end = u64::from(part.blkid) + u64::from(part.blkcnt.max(1)) - 1;
         ((u64::from(part.blkid) / cb)..=(end / cb))
             .all(|chunk| !self.dirty.contains(&(device, chunk)))
@@ -422,7 +431,7 @@ mod tests {
             policy: RoutePolicy::Stripe { stripe_blocks: 4 },
             spill: false,
         });
-        let parts = router.plan(1, &rd(6, 10), &loads(&[0, 0, 0], 8)).unwrap();
+        let parts = router.plan(1, &rd(6, 10), &loads(&[0, 0, 0], 8), None).unwrap();
         // Blocks 6..=15 over 4-block stripes: [6,7] -> chunk 1, [8..=11]
         // -> chunk 2, [12..=15] -> chunk 3; chunk k -> replica k % 3.
         assert_eq!(parts.len(), 3);
@@ -450,7 +459,7 @@ mod tests {
             spill: false,
         });
         // One replica: every chunk homes on 0, so nothing ever splits.
-        let parts = router.plan(1, &rd(0, 64), &loads(&[0], 128)).unwrap();
+        let parts = router.plan(1, &rd(0, 64), &loads(&[0], 128), None).unwrap();
         assert_eq!(parts.len(), 1);
         assert_eq!((parts[0].blkid, parts[0].blkcnt), (0, 64));
     }
@@ -463,13 +472,13 @@ mod tests {
         });
         // Chunk 0 homes on replica 0, which is saturated; replica 2 is
         // the least loaded sibling.
-        let parts = router.plan(1, &rd(0, 8), &loads(&[4, 2, 1, 3], 4)).unwrap();
+        let parts = router.plan(1, &rd(0, 8), &loads(&[4, 2, 1, 3], 4), None).unwrap();
         assert_eq!(parts.len(), 1);
         assert!(parts[0].spilled);
         assert_eq!(parts[0].replica, 2);
 
         // A write to the same saturated home never spills: fleet view.
-        let err = router.plan(1, &wr(0, 1), &loads(&[4, 2, 1, 3], 4)).unwrap_err();
+        let err = router.plan(1, &wr(0, 1), &loads(&[4, 2, 1, 3], 4), None).unwrap_err();
         assert_eq!(err.home, 0);
         assert_eq!(err.fleet.len(), 4);
         assert_eq!(err.fleet[0], ReplicaDepth { replica: 0, depth: 4, capacity: 4 });
@@ -484,14 +493,43 @@ mod tests {
         });
         // Route a write through chunk 0 (home replica 0) while there is
         // room, dirtying it.
-        router.plan(1, &wr(8, 2), &loads(&[0, 0], 4)).unwrap();
+        router.plan(1, &wr(8, 2), &loads(&[0, 0], 4), None).unwrap();
         // Now saturate the home: the read of the dirtied chunk must NOT
         // spill (the sibling never saw the write) — fleet-view reject.
-        let err = router.plan(1, &rd(8, 2), &loads(&[4, 0], 4)).unwrap_err();
+        let err = router.plan(1, &rd(8, 2), &loads(&[4, 0], 4), None).unwrap_err();
         assert_eq!(err.home, 0);
         // A read of a *different, clean* chunk still spills fine.
-        let parts = router.plan(1, &rd(64, 2), &loads(&[4, 0], 4)).unwrap();
+        let parts = router.plan(1, &rd(64, 2), &loads(&[4, 0], 4), None).unwrap();
         assert!(parts[0].spilled || parts[0].replica == 1);
+
+        // The pinned policy is one chunk spanning every block: one write
+        // anywhere keeps every later read on replica 0.
+        let mut router = Router::new(RouteConfig { policy: RoutePolicy::Pinned, spill: true });
+        router.plan(1, &wr(8, 2), &loads(&[0, 0], 4), None).unwrap();
+        let err = router.plan(1, &rd(1000, 2), &loads(&[4, 0], 4), None).unwrap_err();
+        assert_eq!(err.home, 0);
+    }
+
+    #[test]
+    fn pinned_plans_stay_whole_never_spill_and_dirty_their_chunks() {
+        let mut router = Router::new(RouteConfig {
+            policy: RoutePolicy::Stripe { stripe_blocks: 4 },
+            spill: true,
+        });
+        // A span that would fan out across three replicas stays one part
+        // on the pinned replica.
+        let parts = router.plan(1, &rd(6, 10), &loads(&[0, 0, 0], 8), Some(2)).unwrap();
+        assert_eq!(parts, vec![RoutePart { replica: 2, blkid: 6, blkcnt: 10, spilled: false }]);
+        // Only the pinned replica's load counts: a clean read pinned to a
+        // saturated lane is refused, never shed to an idle sibling.
+        let err = router.plan(1, &rd(0, 1), &loads(&[0, 4, 0], 4), Some(1)).unwrap_err();
+        assert_eq!(err.home, 1);
+        assert_eq!(err.fleet.len(), 3);
+        // A pinned write dirties its chunk (chunk 2, home replica 2) even
+        // off-home, so a routed read of it no longer spills.
+        router.plan(1, &wr(8, 1), &loads(&[0, 0, 0], 4), Some(0)).unwrap();
+        let err = router.plan(1, &rd(8, 1), &loads(&[0, 0, 4], 4), None).unwrap_err();
+        assert_eq!(err.home, 2);
     }
 
     #[test]
@@ -505,7 +543,7 @@ mod tests {
         // the merged parts (2 chunks each... stripe_blocks 1 alternates,
         // so 4 chunks -> 4 parts) overcommit: the plan must reject
         // rather than plan two parts into one slot.
-        let err = router.plan(1, &rd(0, 4), &loads(&[3, 3], 4)).unwrap_err();
+        let err = router.plan(1, &rd(0, 4), &loads(&[3, 3], 4), None).unwrap_err();
         assert_eq!(err.fleet.iter().map(|f| f.depth).max(), Some(4));
     }
 
@@ -519,16 +557,16 @@ mod tests {
         fleet[0].available = false;
         // Chunk 0 homes on the (empty but quarantined) replica 0: a clean
         // read sheds to the least-loaded available sibling.
-        let parts = router.plan(1, &rd(0, 8), &fleet).unwrap();
+        let parts = router.plan(1, &rd(0, 8), &fleet, None).unwrap();
         assert!(parts[0].spilled);
         assert_eq!(parts[0].replica, 2);
         // A write still goes home — placement determinism outranks
         // avoidance, and the quarantined lane keeps executing.
-        let parts = router.plan(1, &wr(0, 1), &fleet).unwrap();
+        let parts = router.plan(1, &wr(0, 1), &fleet, None).unwrap();
         assert!(!parts[0].spilled);
         assert_eq!(parts[0].replica, 0);
         // Now the dirty chunk pins reads home too, quarantine or not.
-        let parts = router.plan(1, &rd(0, 8), &fleet).unwrap();
+        let parts = router.plan(1, &rd(0, 8), &fleet, None).unwrap();
         assert!(!parts[0].spilled);
         assert_eq!(parts[0].replica, 0);
         // With every sibling also unavailable, a clean read of another
@@ -537,7 +575,7 @@ mod tests {
         for l in &mut all_down {
             l.available = false;
         }
-        let parts = router.plan(1, &rd(64, 8), &all_down).unwrap();
+        let parts = router.plan(1, &rd(64, 8), &all_down, None).unwrap();
         assert!(!parts[0].spilled);
         assert_eq!(parts[0].replica, RoutePolicy::Stripe { stripe_blocks: 64 }.replica_for(64, 3));
     }
@@ -546,8 +584,8 @@ mod tests {
     fn captures_place_by_session_and_never_split() {
         let mut router = Router::new(RouteConfig::default());
         let cap = Request::Capture { frames: 1, resolution: 720 };
-        let a = router.plan(7, &cap, &loads(&[0, 0, 0], 4)).unwrap();
-        let b = router.plan(7, &cap, &loads(&[1, 1, 1], 4)).unwrap();
+        let a = router.plan(7, &cap, &loads(&[0, 0, 0], 4), None).unwrap();
+        let b = router.plan(7, &cap, &loads(&[1, 1, 1], 4), None).unwrap();
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].replica, b[0].replica, "a session's captures stay on one camera");
     }

@@ -314,9 +314,9 @@ pub struct ServeStats {
     pub doorbell_entries: u64,
     /// Completions that spilled to a session's CQ overflow list.
     pub cq_overflows: u64,
-    /// Submits that went through the replica router (every
-    /// [`DriverletService::submit`] on a routed fleet; explicit-lane
-    /// submits bypass the router and are not counted).
+    /// Submits the router planned and admitted: every accepted client
+    /// submit — routed, per-call or pinned by
+    /// [`DriverletService::submit_to`] — on any fleet.
     pub routed: u64,
     /// Routed parts shed off a saturated home lane to a sibling replica.
     pub route_spills: u64,
@@ -703,9 +703,8 @@ pub struct DriverletService {
     config: ServeConfig,
     sessions: HashMap<SessionId, SessionEntry>,
     /// The admission-QoS gate (token buckets + weighted shares),
-    /// consulted by the routed [`DriverletService::submit`] before any
-    /// queue depth is reserved. Explicit-lane submits bypass it, exactly
-    /// as they bypass the router.
+    /// consulted by every client submit before any queue depth is
+    /// reserved.
     admission: Admission,
     /// Request id → (session, device) for submits the gate charged:
     /// removing the ticket at completion time releases the tenant's
@@ -781,8 +780,8 @@ impl DriverletService {
     /// **replica lane** with an independent core and queue. The
     /// device-routed [`DriverletService::submit`] shards block addresses
     /// across the replicas under [`ServeConfig::route`]; explicit lanes
-    /// are addressed with [`DriverletService::submit_to`] (by [`LaneId`])
-    /// or [`DriverletService::submit_to_lane`] (by raw index). In
+    /// are addressed with [`DriverletService::submit_to`] (by [`LaneId`];
+    /// [`DriverletService::lane_id`] maps a raw lane index to one). In
     /// [`ExecMode::Threaded`] each lane's worker is spawned onto its own
     /// OS thread here and joined on drop.
     pub fn with_driverlets(
@@ -1118,7 +1117,7 @@ impl DriverletService {
 
     /// Install a per-session QoS override (rate, burst, weight) on the
     /// admission gate, replacing [`QosConfig::default_qos`] for
-    /// `session`. Takes effect on the next routed submit; inert while
+    /// `session`. Takes effect on the next submit; inert while
     /// [`QosConfig::enabled`] is off.
     pub fn set_session_qos(
         &mut self,
@@ -1130,17 +1129,6 @@ impl DriverletService {
         }
         self.admission.set_session(session, qos);
         Ok(())
-    }
-
-    /// The first lane serving `device` — the single-replica fast path and
-    /// the lane the control-plane operations (fault injection, health
-    /// checks) address. O(1): a precomputed table lookup, not a lane scan.
-    fn lane_index(&self, device: Device) -> Result<usize, ServeError> {
-        self.lane_table
-            .get(&device)
-            .and_then(|t| t.first())
-            .copied()
-            .ok_or(ServeError::DeviceNotServed(device))
     }
 
     /// How many replica lanes serve `device` (0 when it is not served).
@@ -1167,17 +1155,28 @@ impl DriverletService {
             .ok_or_else(|| ServeError::Invalid(format!("no replica lane {id} is served")))
     }
 
-    /// Submit into an explicit replica lane by fleet address, bypassing
-    /// the router (the [`LaneId`] flavour of
-    /// [`DriverletService::submit_to_lane`]).
+    /// Submit into an explicit replica lane by fleet address, along the
+    /// configured [`SubmitMode`]. The router makes a **pinned** plan: one
+    /// part on replica `id`, never split or spilled, admitted against
+    /// that replica's load alone — after the same session, shape and
+    /// admission-QoS checks as [`DriverletService::submit`]. A pinned
+    /// write dirties its chunks like a routed one, so no later routed
+    /// read of them spills to a sibling that never saw it. Pinned reads
+    /// never fail over. The request's device must match `id`.
     pub fn submit_to(
         &mut self,
         id: LaneId,
         session: SessionId,
         req: Request,
     ) -> Result<RequestId, ServeError> {
-        let lane = self.lane_at(id)?;
-        self.submit_to_lane(lane, session, req)
+        self.lane_at(id)?;
+        if req.device() != id.device {
+            return Err(ServeError::Invalid(format!(
+                "request for {} submitted to lane {id}",
+                req.device()
+            )));
+        }
+        self.submit_via(session, req, Some(id.replica), self.config.submit_mode)
     }
 
     /// Submit a request into a session, along the configured
@@ -1194,9 +1193,40 @@ impl DriverletService {
     /// saturated, a clean read spills to the least-loaded sibling instead
     /// of failing. [`ServeError::QueueFull`] from this path carries the
     /// **fleet** depth snapshot, so callers can tell one hot shard from a
-    /// saturated fleet. Explicit replica addressing (router bypass) is
-    /// [`DriverletService::submit_to`] / [`DriverletService::submit_to_lane`].
+    /// saturated fleet. Explicit replica addressing is
+    /// [`DriverletService::submit_to`].
     pub fn submit(&mut self, session: SessionId, req: Request) -> Result<RequestId, ServeError> {
+        self.submit_via(session, req, None, self.config.submit_mode)
+    }
+
+    /// The legacy one-SMC-per-operation submit, routed exactly like
+    /// [`DriverletService::submit`]. Public even in ring mode: a client
+    /// may always fall back to a plain command invocation (the syscall
+    /// beside io_uring), e.g. for a request that must be visible to the
+    /// TEE immediately without waiting for a doorbell.
+    pub fn submit_per_call(
+        &mut self,
+        session: SessionId,
+        req: Request,
+    ) -> Result<RequestId, ServeError> {
+        self.submit_via(session, req, None, SubmitMode::PerCall)
+    }
+
+    /// The one body behind every client submit: session check, shape
+    /// check, admission QoS, the router's plan (`pin` = an explicit
+    /// replica), then [`DriverletService::enter`] and
+    /// [`DriverletService::enqueue`] along `mode`. Every rejection
+    /// happens before the TEE is entered and rolls back the QoS charge.
+    /// The submission stamp is the instant the client *initiated* the
+    /// call, so client-observed latency includes the world switch a
+    /// per-call submit pays.
+    fn submit_via(
+        &mut self,
+        session: SessionId,
+        req: Request,
+        pin: Option<usize>,
+        mode: SubmitMode,
+    ) -> Result<RequestId, ServeError> {
         if !self.sessions.contains_key(&session) {
             return Err(ServeError::InvalidSession(session));
         }
@@ -1206,7 +1236,6 @@ impl DriverletService {
             Some(t) if !t.is_empty() => t.clone(),
             _ => return Err(ServeError::DeviceNotServed(device)),
         };
-        let mode = self.config.submit_mode;
         let loads: Vec<LaneLoad> = table.iter().map(|&idx| self.lane_load(idx, mode).0).collect();
         // Admission QoS first — before any queue depth is reserved, so a
         // throttled flooder never occupies a slot a victim could have
@@ -1225,7 +1254,7 @@ impl DriverletService {
                 return Err(ServeError::Throttled { session, device, retry_after_ns });
             }
         }
-        let parts = match self.router.plan(session, &req, &loads) {
+        let parts = match self.router.plan(session, &req, &loads, pin) {
             Ok(parts) => parts,
             Err(reject) => {
                 if charged {
@@ -1235,19 +1264,21 @@ impl DriverletService {
                 return Err(self.routed_reject(device, &table, reject, mode));
             }
         };
-        // Failover eligibility is decided at plan time: an unsplit clean
-        // read on a multi-replica fleet may retry on a sibling, because
-        // its bytes are replica-independent by the cleanliness invariant.
-        let retry_span = (self.config.failover.enabled && table.len() > 1 && parts.len() == 1)
-            .then(|| match &req {
-                Request::Read { blkid, blkcnt, .. }
-                    if self.router.span_is_clean(device, *blkid, *blkcnt) =>
-                {
-                    Some((*blkid, *blkcnt))
-                }
-                _ => None,
-            })
-            .flatten();
+        // Failover eligibility is decided at plan time: an unpinned,
+        // unsplit clean read on a multi-replica fleet may retry on a
+        // sibling, because its bytes are replica-independent by the
+        // cleanliness invariant.
+        let retry_span =
+            (self.config.failover.enabled && pin.is_none() && table.len() > 1 && parts.len() == 1)
+                .then(|| match &req {
+                    Request::Read { blkid, blkcnt, .. }
+                        if self.router.span_is_clean(device, *blkid, *blkcnt) =>
+                    {
+                        Some((*blkid, *blkcnt))
+                    }
+                    _ => None,
+                })
+                .flatten();
         let spilled = parts.iter().filter(|p| p.spilled).count() as u64;
         // The plan checked every planned lane's occupancy, so once the
         // call has entered the TEE nothing downstream can reject.
@@ -1542,82 +1573,6 @@ impl DriverletService {
             completed_ns: p.completed_ns,
             coalesced: p.coalesced,
         })
-    }
-
-    /// Submit into an explicit lane (replica-lane addressing), along the
-    /// configured [`SubmitMode`]. The request's device must match the
-    /// lane's device.
-    pub fn submit_to_lane(
-        &mut self,
-        lane: usize,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        if lane >= self.lanes.len() {
-            return Err(ServeError::Invalid(format!(
-                "lane {lane} out of range ({} lanes)",
-                self.lanes.len()
-            )));
-        }
-        self.submit_direct(lane, session, req, self.config.submit_mode)
-    }
-
-    /// The legacy one-SMC-per-operation submit. Public even in ring mode:
-    /// a client may always fall back to a plain command invocation (the
-    /// syscall beside io_uring), e.g. for a request that must be visible
-    /// to the TEE immediately without waiting for a doorbell.
-    pub fn submit_per_call(
-        &mut self,
-        session: SessionId,
-        req: Request,
-    ) -> Result<RequestId, ServeError> {
-        let idx = self.lane_index(req.device())?;
-        self.submit_direct(idx, session, req, SubmitMode::PerCall)
-    }
-
-    /// The unrouted submit into lane `idx`. Shape checks run first, in the
-    /// normal world. The submission stamp is the instant the client
-    /// *initiated* the call, so client-observed latency includes the world
-    /// switch a per-call submit is about to pay; the control clock
-    /// advances on SMCs, client think time and completion *observations*
-    /// ([`DriverletService::take_completions`]) — never on unobserved
-    /// lane progress — so independent sessions keep overlapping with a
-    /// slow lane they are not waiting on. A full lane (per-call) or ring
-    /// (ring mode) is typed backpressure — [`ServeError::QueueFull`] with
-    /// the one depth snapshot the rejection was decided on — never a
-    /// silent drop; a per-call rejection has still paid its SMC.
-    fn submit_direct(
-        &mut self,
-        idx: usize,
-        session: SessionId,
-        req: Request,
-        mode: SubmitMode,
-    ) -> Result<RequestId, ServeError> {
-        if !self.sessions.contains_key(&session) {
-            return Err(ServeError::InvalidSession(session));
-        }
-        validate_request(&req)?;
-        let device = self.lanes[idx].device;
-        if req.device() != device {
-            return Err(ServeError::Invalid(format!(
-                "request for {} submitted to a {device} lane",
-                req.device()
-            )));
-        }
-        let submitted_ns = self.control.now_ns();
-        let arrived = self.enter(session, mode, &[idx])?;
-        let (load, high_water) = self.lane_load(idx, mode);
-        if load.depth >= load.capacity {
-            SharedStats::bump(&self.stats.rejected);
-            return Err(ServeError::QueueFull {
-                device,
-                depth: load.depth,
-                capacity: load.capacity,
-                high_water,
-                fleet: Vec::new(),
-            });
-        }
-        Ok(self.enqueue(session, req, &[idx], &[], submitted_ns, arrived))
     }
 
     /// Ring the doorbell: **one** SMC (a batch invoke of the gate
@@ -2171,6 +2126,24 @@ impl DriverletService {
         SessionBlockIo { service: self, session, device }
     }
 
+    /// One blocking request: submit, run the event loop to quiescence,
+    /// and return this request's result — the round trip behind
+    /// [`SessionBlockIo`] and [`crate::ServedBlockDev`]. Other
+    /// completions the session had waiting are taken and dropped.
+    pub(crate) fn roundtrip(
+        &mut self,
+        session: SessionId,
+        req: Request,
+    ) -> Result<Payload, ServeError> {
+        let id = self.submit(session, req)?;
+        self.drain_all();
+        self.take_completions(session)
+            .into_iter()
+            .find(|c| c.id == id)
+            .ok_or_else(|| ServeError::Invalid("completion lost".into()))?
+            .result
+    }
+
     /// Apply one control request to lane `idx`: directly on the inline
     /// worker (sequential), or via the control mailbox (threaded) — the
     /// worker handles mailbox messages strictly **between batches**, never
@@ -2193,7 +2166,7 @@ impl DriverletService {
             .map_err(|_| ServeError::Invalid(format!("lane {idx} dropped the control reply")))?
     }
 
-    /// Install a solver-driven device fault on `device`'s lane: every
+    /// Install a solver-driven device fault on one lane: every
     /// replay the lane runs from now on passes through a
     /// [`ConstraintFlipper`] following `plan` — it falsifies the targeted
     /// constraint with concolically solved register/DMA observations, so
@@ -2203,43 +2176,32 @@ impl DriverletService {
     /// installed fault. Safe mid-flight: a threaded lane installs the
     /// fault at its next batch boundary (never mid-replay), and this call
     /// waits for that hand-off.
+    ///
+    /// `lane` is a [`LaneId`], or a bare [`Device`] for its first replica:
+    /// the adversarial fault-storm experiments fault exactly one replica
+    /// of a fleet and watch the failover path carry its traffic.
     pub fn inject_fault(
         &mut self,
-        device: Device,
+        lane: impl Into<LaneId>,
         plan: FaultPlan,
     ) -> Result<Arc<Mutex<FlipOutcome>>, ServeError> {
-        self.inject_fault_at(LaneId { device, replica: 0 }, plan)
-    }
-
-    /// [`DriverletService::inject_fault`] with replica-lane addressing:
-    /// fault exactly one lane of a fleet (the adversarial fault-storm
-    /// experiments target one replica and watch the failover path carry
-    /// its traffic).
-    pub fn inject_fault_at(
-        &mut self,
-        id: LaneId,
-        plan: FaultPlan,
-    ) -> Result<Arc<Mutex<FlipOutcome>>, ServeError> {
-        let idx = self.lane_at(id)?;
+        let idx = self.lane_at(lane.into())?;
         let (flipper, outcome) = ConstraintFlipper::new(plan);
         self.lane_ctrl(idx, CtrlReq::SetMutator(Some(Box::new(flipper))))?;
         Ok(outcome)
     }
 
-    /// Remove any fault installed on `device`'s lane; subsequent replays
-    /// see the real device again. Same batch-boundary hand-off as
+    /// Remove any fault installed on one lane (a [`LaneId`], or a bare
+    /// [`Device`] for its first replica); subsequent replays see the real
+    /// device again. Same batch-boundary hand-off as
     /// [`DriverletService::inject_fault`].
-    pub fn clear_fault(&mut self, device: Device) -> Result<(), ServeError> {
-        self.clear_fault_at(LaneId { device, replica: 0 })
-    }
-
-    /// [`DriverletService::clear_fault`] with replica-lane addressing.
-    pub fn clear_fault_at(&mut self, id: LaneId) -> Result<(), ServeError> {
-        let idx = self.lane_at(id)?;
+    pub fn clear_fault(&mut self, lane: impl Into<LaneId>) -> Result<(), ServeError> {
+        let idx = self.lane_at(lane.into())?;
         self.lane_ctrl(idx, CtrlReq::SetMutator(None)).map(|_| ())
     }
 
-    /// Verify `device`'s lane is still serviceable — the post-divergence
+    /// Verify a lane (a [`LaneId`], or a bare [`Device`] for its first
+    /// replica) is still serviceable — the post-divergence
     /// invariant the explore harness gates on. Block lanes write a pattern
     /// over the scratch probe extent at [`HEALTH_PROBE_BLKID`] and must
     /// read it back byte-identically; the camera lane must complete a
@@ -2251,18 +2213,14 @@ impl DriverletService {
     /// [`LaneHealth`] snapshot (queue depth, in-flight count, lifetime
     /// completion/divergence counters, last-activity host stamp) taken at
     /// the probe's batch boundary.
-    pub fn lane_health_check(&mut self, device: Device) -> Result<LaneHealth, ServeError> {
-        self.lane_health_check_at(LaneId { device, replica: 0 })
-    }
-
-    /// [`DriverletService::lane_health_check`] with replica-lane
-    /// addressing. Under supervision, a **passing** probe on a
-    /// quarantined lane doubles as the operator-invoked recovery step:
-    /// the lane moves to [`LaneState::Probation`] exactly as if the
-    /// watchdog's own post-quarantine probe had passed, and the returned
-    /// snapshot reflects the new state.
-    pub fn lane_health_check_at(&mut self, id: LaneId) -> Result<LaneHealth, ServeError> {
-        let idx = self.lane_at(id)?;
+    ///
+    /// Under supervision, a **passing** probe on a quarantined lane
+    /// doubles as the operator-invoked recovery step: the lane moves to
+    /// [`LaneState::Probation`] exactly as if the watchdog's own
+    /// post-quarantine probe had passed, and the returned snapshot
+    /// reflects the new state.
+    pub fn lane_health_check(&mut self, lane: impl Into<LaneId>) -> Result<LaneHealth, ServeError> {
+        let idx = self.lane_at(lane.into())?;
         match self.lane_ctrl(idx, CtrlReq::HealthCheck)? {
             CtrlReply::Health(mut health) => {
                 if self.config.supervise.enabled && self.lane_state(idx) == LaneState::Quarantined {
@@ -2281,7 +2239,21 @@ impl DriverletService {
     /// lane's producer can be detached once; afterwards the service's own
     /// [`DriverletService::submit`] on that lane reports the detachment as
     /// a typed error (single-producer discipline is kept statically).
+    ///
+    /// A lane of a multi-replica device is refused with
+    /// [`ServeError::Invalid`]: staging off-thread cannot consult the
+    /// router, so a detached submitter's writes would escape the dirty
+    /// tracking that keeps spilled and failed-over reads correct.
     pub fn lane_submitter(&mut self, lane: usize) -> Result<LaneSubmitter, ServeError> {
+        if let Some(device) = self.lane_device(lane) {
+            let replicas = self.replica_count(device);
+            if replicas > 1 {
+                return Err(ServeError::Invalid(format!(
+                    "lane {lane} is one of {replicas} {device} replicas; a detached submitter \
+                     cannot consult the router"
+                )));
+            }
+        }
         let next_request = Arc::clone(&self.next_request);
         let stats = Arc::clone(&self.stats);
         let control_clock = Arc::clone(&self.control_cell);
@@ -2356,7 +2328,7 @@ pub const HEALTH_PROBE_BLKID: u32 = crate::lane::HEALTH_PROBE_BLKID;
 /// producer thread owns its lane's SQ producer endpoint, and only the
 /// doorbell/reap side stays with the service.
 ///
-/// Semantics mirror [`DriverletService::submit`] in ring mode, with two
+/// Semantics mirror [`DriverletService::submit`] in ring mode, with three
 /// documented differences inherent to being off-thread:
 ///
 /// * The session is **not** validated at stage time (the service would
@@ -2366,6 +2338,9 @@ pub const HEALTH_PROBE_BLKID: u32 = crate::lane::HEALTH_PROBE_BLKID;
 /// * A rejected stage burns its request id (ids stay globally unique and
 ///   per-submitter monotone; they are no longer dense across the
 ///   service).
+/// * Staging skips the admission-QoS gate and the router (both live on
+///   the front-end), which is why only a single-replica lane detaches
+///   one.
 #[derive(Debug)]
 pub struct LaneSubmitter {
     device: Device,
@@ -2448,15 +2423,7 @@ pub struct SessionBlockIo<'a> {
 
 impl SessionBlockIo<'_> {
     fn roundtrip(&mut self, req: Request) -> Result<Payload, dlt_core::ReplayError> {
-        let invalid = |e: ServeError| dlt_core::ReplayError::Invalid(e.to_string());
-        let id = self.service.submit(self.session, req).map_err(invalid)?;
-        self.service.drain_all();
-        let completions = self.service.take_completions(self.session);
-        let completion = completions
-            .into_iter()
-            .find(|c| c.id == id)
-            .ok_or_else(|| dlt_core::ReplayError::Invalid("completion lost".into()))?;
-        completion.result.map_err(|e| match e {
+        self.service.roundtrip(self.session, req).map_err(|e| match e {
             ServeError::Replay(r) => r,
             other => dlt_core::ReplayError::Invalid(other.to_string()),
         })
@@ -2519,9 +2486,13 @@ mod tests {
         // if a read could land on a different replica than the write
         // that produced its bytes, it would return the bundle's initial
         // content instead. Round-tripping six extents through a 3-replica
-        // fleet on both submit paths is therefore the placement witness.
+        // fleet on both submit paths — and writing them through the
+        // per-call fallback beside ring reads — is therefore the placement
+        // witness.
         let policy = RoutePolicy::HashShard { chunk_blocks: 16 };
-        for mode in [SubmitMode::PerCall, SubmitMode::Ring] {
+        for (mode, per_call_writes) in
+            [(SubmitMode::PerCall, false), (SubmitMode::Ring, false), (SubmitMode::Ring, true)]
+        {
             let mut s = mmc_fleet(
                 3,
                 ServeConfig {
@@ -2536,11 +2507,13 @@ mod tests {
                 (0..8 * BLOCK).map(|i| ((i as u32 ^ (e * 37)) % 251) as u8).collect()
             };
             for extent in 0..6u32 {
-                s.submit(
-                    sess,
-                    Request::Write { device: Device::Mmc, blkid: extent * 16, data: data(extent) },
-                )
-                .unwrap();
+                let write =
+                    Request::Write { device: Device::Mmc, blkid: extent * 16, data: data(extent) };
+                if per_call_writes {
+                    s.submit_per_call(sess, write).unwrap();
+                } else {
+                    s.submit(sess, write).unwrap();
+                }
             }
             s.drain_all();
             s.take_completions(sess);
@@ -2567,7 +2540,7 @@ mod tests {
                     other => panic!("unexpected payload {other:?}"),
                 }
             }
-            assert_eq!(s.stats().routed, 12, "every default submit went through the router");
+            assert_eq!(s.stats().routed, 12, "every submit went through the router");
             // The placement function actually spreads these extents.
             let homes: std::collections::HashSet<usize> =
                 (0..6u32).map(|e| policy.replica_for(e * 16, 3)).collect();
@@ -2666,6 +2639,31 @@ mod tests {
         let done = s.drain_all();
         assert_eq!(done.len(), 3);
         assert!(done.iter().all(|c| c.result.is_ok()), "the spilled read reads clean bytes");
+
+        // A write pinned to the chunk's home replica dirties the chunk like
+        // a routed one: with the home saturated again, a read of it is
+        // refused instead of spilling to a sibling that never saw it.
+        let home = LaneId {
+            device: Device::Mmc,
+            replica: RoutePolicy::HashShard { chunk_blocks: 256 }.replica_for(0, 2),
+        };
+        s.submit_to(
+            home,
+            sess,
+            Request::Write { device: Device::Mmc, blkid: 0, data: vec![0x5a; BLOCK] },
+        )
+        .unwrap();
+        s.drain_all();
+        s.submit(sess, rd(1)).unwrap();
+        s.submit(sess, rd(2)).unwrap();
+        assert!(matches!(s.submit(sess, rd(0)), Err(ServeError::QueueFull { .. })));
+        assert_eq!(s.stats().route_spills, 1, "the dirtied chunk never spilled");
+        s.drain_all();
+        s.take_completions(sess);
+        s.submit(sess, rd(0)).unwrap();
+        s.drain_all();
+        let read = s.take_completions(sess).pop().expect("read completion");
+        assert_eq!(read.result.expect("read ok"), Payload::Read(vec![0x5a; BLOCK]));
     }
 
     #[test]
@@ -2687,7 +2685,11 @@ mod tests {
         let done = s.drain_all();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);
-        assert_eq!(s.stats().routed, 0, "explicit lane addressing bypasses the router");
+        assert_eq!(s.stats().routed, 1, "a pinned submit is a one-part plan of the router");
+        assert!(
+            matches!(s.lane_submitter(1), Err(ServeError::Invalid(_))),
+            "a detached submitter cannot consult the router, so replica lanes refuse one"
+        );
         assert!(matches!(
             s.submit_to(
                 LaneId { device: Device::Usb, replica: 0 },
@@ -3251,6 +3253,7 @@ mod tests {
         let rd = |i: u32| Request::Read { device: Device::Mmc, blkid: i, blkcnt: 1 };
         s.submit(flooder, rd(0)).unwrap();
         s.submit(flooder, rd(1)).unwrap();
+        let smc = s.smc_calls();
         match s.submit(flooder, rd(2)) {
             Err(ServeError::Throttled { session, device, retry_after_ns }) => {
                 assert_eq!(session, flooder);
@@ -3259,13 +3262,22 @@ mod tests {
             }
             other => panic!("expected Throttled, got {other:?}"),
         }
-        assert_eq!(s.stats().throttled, 1);
+        // The same tenant is throttled on every entry point, before any
+        // of them enters the TEE.
+        assert!(matches!(s.submit_per_call(flooder, rd(2)), Err(ServeError::Throttled { .. })));
+        assert!(matches!(
+            s.submit_to(Device::Mmc.into(), flooder, rd(2)),
+            Err(ServeError::Throttled { .. })
+        ));
+        assert_eq!(s.smc_calls(), smc, "a throttled submit pays no SMC");
+        assert_eq!(s.stats().throttled, 3);
         assert_eq!(s.stats().rejected, 0, "throttling is not queue backpressure");
         // The satellite regression: a throttled submit reserved nothing,
         // so saturating the queue afterwards reports the same coherent
         // fleet snapshot QueueFull always carried.
         s.submit(victim, rd(3)).unwrap();
         s.submit(victim, rd(4)).unwrap();
+        let smc = s.smc_calls();
         match s.submit(victim, rd(5)) {
             Err(ServeError::QueueFull { depth, capacity, fleet, .. }) => {
                 assert_eq!((depth, capacity), (4, 4));
@@ -3274,13 +3286,19 @@ mod tests {
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }
+        assert!(matches!(s.submit_per_call(victim, rd(5)), Err(ServeError::QueueFull { .. })));
+        assert!(matches!(
+            s.submit_to(Device::Mmc.into(), victim, rd(5)),
+            Err(ServeError::QueueFull { .. })
+        ));
+        assert_eq!(s.smc_calls(), smc, "a refused submit pays no SMC");
         // The QueueFull rollback refunded the victim's QoS charge; after
         // a drain both the depth and the share are free again.
         let done = s.drain_all();
         assert_eq!(done.len(), 4);
         s.take_completions(victim);
         s.submit(victim, rd(6)).unwrap();
-        assert_eq!(s.stats().throttled, 1, "only the flooder was ever throttled");
+        assert_eq!(s.stats().throttled, 3, "only the flooder was ever throttled");
     }
 
     #[test]
@@ -3303,7 +3321,7 @@ mod tests {
         );
         let sess = s.open_session().unwrap();
         let outcome = s
-            .inject_fault_at(
+            .inject_fault(
                 LaneId { device: Device::Mmc, replica: 0 },
                 FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
             )
@@ -3350,7 +3368,7 @@ mod tests {
         );
         let sess = s.open_session().unwrap();
         for replica in 0..2 {
-            s.inject_fault_at(
+            s.inject_fault(
                 LaneId { device: Device::Mmc, replica },
                 FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
             )
@@ -3399,7 +3417,7 @@ mod tests {
             },
         );
         let sess = s.open_session().unwrap();
-        s.inject_fault_at(
+        s.inject_fault(
             LaneId { device: Device::Mmc, replica: 0 },
             FaultPlan { template: Some("_rd_".into()), sticky: true, ..FaultPlan::default() },
         )
@@ -3417,7 +3435,7 @@ mod tests {
         assert_eq!(s.stats().quarantines, 1, "the threshold tripped exactly once");
         // The quarantine's soft reset cleared the fault and the probe
         // passed: the lane is on probation, serving traffic again.
-        let health = s.lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
+        let health = s.lane_health_check(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
         assert_eq!(health.state, crate::LaneState::Probation);
         // probation_ok clean completions on the lane restore it.
         s.take_completions(sess);
@@ -3428,7 +3446,7 @@ mod tests {
         assert_eq!(probation.len(), 2);
         assert!(probation.iter().all(|c| c.result.is_ok()));
         assert_eq!(s.stats().lane_restores, 1, "the clean window restored the lane");
-        let health = s.lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
+        let health = s.lane_health_check(LaneId { device: Device::Mmc, replica: 0 }).unwrap();
         assert_eq!(health.state, crate::LaneState::Healthy);
         assert_eq!(s.stats().failover_exhausted, 0);
     }

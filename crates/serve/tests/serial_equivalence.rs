@@ -1036,7 +1036,7 @@ fn check_adversarial_fleet(mmc_replicas: usize, choices: &[u8], skip: u64, exec_
     for (i, &choice) in choices.iter().enumerate() {
         if i == half {
             service
-                .inject_fault_at(
+                .inject_fault(
                     LaneId { device: Device::Mmc, replica: 0 },
                     FaultPlan {
                         template: Some("_rd_".into()),
@@ -1141,7 +1141,7 @@ fn check_adversarial_fleet(mmc_replicas: usize, choices: &[u8], skip: u64, exec_
     assert!(tail.iter().all(|c| c.result.is_ok()), "the fleet serves cleanly after the storm");
     assert!(service.stats().lane_restores >= 1, "probation restored the quarantined lane");
     let health = service
-        .lane_health_check_at(LaneId { device: Device::Mmc, replica: 0 })
+        .lane_health_check(LaneId { device: Device::Mmc, replica: 0 })
         .expect("post-probation health");
     assert_eq!(health.state, LaneState::Healthy);
 }

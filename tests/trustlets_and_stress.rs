@@ -8,6 +8,7 @@ use dlt_hw::Platform;
 use dlt_recorder::campaign::{
     pattern_buf, record_camera_driverlet_subset, record_mmc_driverlet_subset, DEV_KEY,
 };
+use dlt_serve::{Device, DriverletService, ServeConfig};
 use dlt_tee::{SecureIo, TeeKernel};
 use dlt_trustlets::{CredentialStore, SurveillanceTrustlet};
 
@@ -45,7 +46,7 @@ fn credential_store_round_trips_and_detects_corruption() {
     let mmc = MmcSubsystem::attach(&platform).unwrap();
     TeeKernel::install(&platform, &["sdhost", "dma"]).unwrap();
     let mut replayer = Replayer::new(SecureIo::new(platform.bus.clone()));
-    replayer.load_driverlet(driverlet, DEV_KEY).unwrap();
+    replayer.load_driverlet(driverlet.clone(), DEV_KEY).unwrap();
 
     let store = CredentialStore::new(100, 8);
     store.store(&mut replayer, 3, b"totp-seed-123456").unwrap();
@@ -57,6 +58,19 @@ fn credential_store_round_trips_and_detects_corruption() {
     raw[20] ^= 0xff;
     mmc.sdhost.lock().card_mut().poke_block(103, &raw);
     assert!(matches!(store.load(&mut replayer, 3), Err(dlt_trustlets::TrustletError::Corrupt(_))));
+
+    // The same store runs unchanged over a served session: the handle a
+    // trustlet holds on the multi-tenant service instead of a replayer.
+    let mut service = DriverletService::with_driverlets(
+        &[(Device::Mmc, driverlet)],
+        ServeConfig { block_granularities: vec![1], ..ServeConfig::default() },
+    )
+    .unwrap();
+    let session = service.open_session().unwrap();
+    let mut io = service.session_io(session, Device::Mmc);
+    store.store(&mut io, 3, b"totp-seed-123456").unwrap();
+    assert_eq!(store.load(&mut io, 3).unwrap(), b"totp-seed-123456".to_vec());
+    assert!(matches!(store.load(&mut io, 4), Err(dlt_trustlets::TrustletError::NotFound)));
 }
 
 #[test]
