@@ -145,7 +145,11 @@ impl SecureBlockIo for Replayer {
 /// `replay_cam(frames, resolution, buf, buf_size, &size)` — capture `frames`
 /// images at `resolution` (720, 1080 or 1440); the last frame lands in `buf`.
 ///
-/// Returns the image size in bytes (the paper's `size` out-parameter).
+/// Returns the image size in bytes (the paper's `size` out-parameter). The
+/// size never exceeds what the replay actually wrote into `buf`
+/// ([`Replayer::written_extent`]): a captured size past the copied bytes
+/// is a malformed template, reported as [`ReplayError::Invalid`] rather
+/// than handed out as a zero-padded frame.
 ///
 /// # Example
 ///
@@ -193,6 +197,12 @@ pub fn replay_cam(
         .filter(|v| *v > 0 && *v <= buf.len() as u64)
         .max()
         .unwrap_or(outcome.payload_bytes);
+    let written = replayer.written_extent() as u64;
+    if img > written {
+        return Err(ReplayError::Invalid(format!(
+            "captured image size {img} exceeds the {written} bytes the replay wrote"
+        )));
+    }
     Ok(img as u32)
 }
 

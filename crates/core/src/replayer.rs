@@ -214,6 +214,10 @@ struct Scratch {
     dma: Vec<DmaRegion>,
     /// Random-byte fill buffer.
     rand: Vec<u8>,
+    /// End of the highest trustlet-buffer byte the current invocation has
+    /// written, maximised over its attempts (see
+    /// [`Replayer::written_extent`]).
+    written: usize,
 }
 
 impl Scratch {
@@ -335,6 +339,19 @@ impl Replayer {
         self.io.now_ns()
     }
 
+    /// End of the highest trustlet-buffer byte the last invocation wrote:
+    /// every byte of `buf[written_extent()..]` is as the caller left it.
+    ///
+    /// The compiled engine tracks `CopyDmaToUser` targets and `UserData`
+    /// sinks, takes the maximum over every attempt (a diverged attempt's
+    /// partial copy counts) and keeps the figure when the invocation
+    /// fails. The interpreted baseline does not track writes and reports
+    /// the whole buffer. Callers that recycle a buffer re-zero only this
+    /// prefix.
+    pub fn written_extent(&self) -> usize {
+        self.scratch.written
+    }
+
     /// Entries currently served.
     pub fn entries(&self) -> Vec<String> {
         self.driverlets.keys().cloned().collect()
@@ -434,6 +451,7 @@ impl Replayer {
         buf: &mut [u8],
     ) -> Result<ReplayOutcome, ReplayError> {
         let this = &mut *self;
+        this.scratch.written = 0;
         let ld = this
             .driverlets
             .get(entry)
@@ -525,6 +543,9 @@ impl Replayer {
         args: &HashMap<String, u64>,
         buf: &mut [u8],
     ) -> Result<ReplayOutcome, ReplayError> {
+        // The tree walker does not track its writes: report the whole
+        // buffer, the conservative bound.
+        self.scratch.written = buf.len();
         let bundle = &self
             .driverlets
             .get(entry)
@@ -672,6 +693,7 @@ fn exec_program(
                                 "user-data sink outside the trustlet buffer".into(),
                             ));
                         }
+                        scratch.written = scratch.written.max(off + 4);
                         buf[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes());
                         payload_bytes += 4;
                     }
@@ -816,6 +838,9 @@ fn exec_program(
                     ));
                 }
                 let region = *scratch.dma.get(alloc as usize).ok_or_else(|| missing_dma(alloc))?;
+                // Counted before the copy: a copy that faults part-way may
+                // still have written some of its target.
+                scratch.written = scratch.written.max(uo + n);
                 // Zero-copy: DMA contents land directly in the trustlet
                 // buffer slice, no intermediate heap buffer.
                 io.copy_from_dma(region, offset, &mut buf[uo..uo + n]).map_err(ExecFailure::Tee)?;
@@ -1419,5 +1444,187 @@ mod tests {
         ));
         r.invoke("replay_rig", &rig_args(3), &mut buf).unwrap();
         assert_eq!(outcome.lock().unwrap().engaged_invocations, 1);
+    }
+
+    // -----------------------------------------------------------------------
+    // Written extent: how far into the trustlet buffer an invocation wrote.
+    // -----------------------------------------------------------------------
+
+    /// A rig template for entry `entry` whose `params` are all
+    /// unconstrained, running `events` after one 64-byte DMA allocation.
+    fn rig_events_template(entry: &str, params: &[&str], events: Vec<Event>) -> Driverlet {
+        let mut all = vec![RecordedEvent::bare(Event::DmaAlloc {
+            len: SymExpr::Const(64),
+            role: DmaRole::DataIn,
+        })];
+        all.extend(events.into_iter().map(RecordedEvent::bare));
+        let t = Template {
+            name: "rig_extent".into(),
+            entry: entry.into(),
+            device: "rig".into(),
+            params: params
+                .iter()
+                .map(|p| ParamSpec { name: (*p).into(), constraint: Constraint::Any })
+                .collect(),
+            direction: DataDirection::DeviceToUser,
+            data_len: SymExpr::Const(0),
+            irq_line: None,
+            events: all,
+            meta: TemplateMeta::default(),
+        };
+        let mut d = Driverlet::new("rig", entry, vec![t]);
+        d.sign(b"rigkey");
+        d
+    }
+
+    fn rig_replayer_for(d: Driverlet, mode: ReplayMode) -> (Platform, Replayer) {
+        let platform = rig_platform();
+        let io = SecureIo::new(platform.bus.clone());
+        let mut r = Replayer::with_config(io, ReplayConfig { mode, ..ReplayConfig::default() });
+        r.load_driverlet(d, b"rigkey").unwrap();
+        (platform, r)
+    }
+
+    #[test]
+    fn written_extent_ends_at_the_last_copied_byte() {
+        // The rig template writes a sink at 0..4 and copies DMA to 4..8;
+        // the rest of a 16-byte buffer stays untouched.
+        let (_p, mut r) = rig_replayer_for(rig_driverlet(8), ReplayMode::Compiled);
+        let mut buf = [0u8; 16];
+        r.invoke("replay_rig", &rig_args(0x1234), &mut buf).unwrap();
+        assert_eq!(r.written_extent(), 8);
+        assert_eq!(buf[8..], [0u8; 8]);
+        // A failed lookup writes nothing.
+        assert!(r.invoke("replay_rig", &rig_args(0x10_0000), &mut buf).is_err());
+        assert_eq!(r.written_extent(), 0);
+    }
+
+    #[test]
+    fn written_extent_counts_user_data_sinks() {
+        let sink_only = rig_events_template(
+            "replay_rig",
+            &["val"],
+            vec![Event::Read {
+                iface: reg("ID", 0xc),
+                constraint: Constraint::eq_const(0x2a),
+                len: 4,
+                sink: ReadSink::UserData { offset: 12 },
+            }],
+        );
+        let (_p, mut r) = rig_replayer_for(sink_only, ReplayMode::Compiled);
+        let mut buf = [0u8; 32];
+        let args = [("val", 0)];
+        r.invoke_args("replay_rig", &args, &mut buf).unwrap();
+        assert_eq!(r.written_extent(), 16);
+        assert_eq!(u32::from_le_bytes(buf[12..16].try_into().unwrap()), 0x2a);
+    }
+
+    #[test]
+    fn written_extent_is_the_maximum_over_retried_attempts() {
+        // STATUS holds the copy length; a constrained ID read follows the
+        // copy. A mutator stretches the first attempt's length to 16 and
+        // then fails its ID read; the retry copies the true 8 bytes.
+        let stretched = rig_events_template(
+            "replay_rig",
+            &["val"],
+            vec![
+                Event::Write { iface: reg("STATUS", 0x0), value: SymExpr::Const(8) },
+                Event::Read {
+                    iface: reg("STATUS", 0x0),
+                    constraint: Constraint::Any,
+                    len: 4,
+                    sink: ReadSink::Capture("n".into()),
+                },
+                Event::CopyDmaToUser {
+                    alloc: 0,
+                    offset: 0,
+                    user_offset: 0,
+                    len: SymExpr::Captured("n".into()),
+                },
+                Event::Read {
+                    iface: reg("ID", 0xc),
+                    constraint: Constraint::eq_const(0x2a),
+                    len: 4,
+                    sink: ReadSink::Discard,
+                },
+            ],
+        );
+        /// Rewrites the first `left` observations: the length read to 16,
+        /// the ID read to a violating 0.
+        struct Stretch {
+            left: u32,
+        }
+        impl ResponseMutator for Stretch {
+            fn begin_invocation(&mut self, _program: &dlt_template::ReplayProgram) -> bool {
+                true
+            }
+            fn mutate(&mut self, ctx: &MutationCtx<'_>) -> Option<u64> {
+                if self.left == 0 {
+                    return None;
+                }
+                self.left -= 1;
+                Some(if ctx.observed == 8 { 16 } else { 0 })
+            }
+        }
+        let (_p, mut r) = rig_replayer_for(stretched, ReplayMode::Compiled);
+        let args = [("val", 0)];
+        let mut buf = [0u8; 32];
+        r.set_response_mutator(Box::new(Stretch { left: 2 }));
+        let out = r.invoke_args("replay_rig", &args, &mut buf).unwrap();
+        assert!(out.recovered_divergence, "attempt 1 diverged, attempt 2 succeeded");
+        assert_eq!(out.payload_bytes, 8, "the successful attempt copied 8 bytes");
+        assert_eq!(r.written_extent(), 16, "the diverged attempt's copy still counts");
+
+        // A divergence that persists still reports what was written.
+        r.set_response_mutator(Box::new(Stretch { left: u32::MAX }));
+        let err = r.invoke_args("replay_rig", &args, &mut buf).unwrap_err();
+        assert!(matches!(err, ReplayError::Diverged(_)));
+        assert_eq!(r.written_extent(), 16);
+    }
+
+    #[test]
+    fn interpreted_mode_reports_the_whole_buffer() {
+        let (_p, mut r) = rig_replayer_for(rig_driverlet(8), ReplayMode::Interpreted);
+        let mut buf = [0u8; 16];
+        r.invoke("replay_rig", &rig_args(0x1234), &mut buf).unwrap();
+        assert_eq!(r.written_extent(), 16, "untracked writes are bounded by the buffer");
+    }
+
+    #[test]
+    fn replay_cam_rejects_a_captured_size_past_the_copy() {
+        // The ID register reads 0x2a = 42, captured as the image size, but
+        // the template copies only 8 bytes: the size must not hand out 34
+        // bytes the replay never wrote.
+        let cam = |copy_len: u64| {
+            rig_events_template(
+                "replay_cam",
+                &["frames", "resolution", "buf_size"],
+                vec![
+                    Event::Read {
+                        iface: reg("ID", 0xc),
+                        constraint: Constraint::Any,
+                        len: 4,
+                        sink: ReadSink::Capture("size".into()),
+                    },
+                    Event::CopyDmaToUser {
+                        alloc: 0,
+                        offset: 0,
+                        user_offset: 0,
+                        len: SymExpr::Const(copy_len),
+                    },
+                ],
+            )
+        };
+        let mut buf = [0u8; 64];
+        let (_p, mut r) = rig_replayer_for(cam(8), ReplayMode::Compiled);
+        match crate::api::replay_cam(&mut r, 1, 720, &mut buf) {
+            Err(ReplayError::Invalid(msg)) => {
+                assert!(msg.contains("42") && msg.contains('8'), "unexpected message: {msg}")
+            }
+            other => panic!("expected a typed Invalid, got {other:?}"),
+        }
+        // A copy that covers the captured size is a well-formed frame.
+        let (_p, mut r) = rig_replayer_for(cam(42), ReplayMode::Compiled);
+        assert_eq!(crate::api::replay_cam(&mut r, 1, 720, &mut buf).unwrap(), 42);
     }
 }

@@ -351,17 +351,24 @@ impl SdCard {
     /// The card must be in the sending-data state (a read command must have
     /// been accepted first).
     pub fn read_blocks(&mut self, lba: u64, count: u32) -> Option<Vec<u8>> {
-        if self.removed || self.state != CardState::SendingData {
-            return None;
-        }
         let mut out = Vec::with_capacity(count as usize * BLOCK_SIZE);
+        self.read_blocks_with(lba, count, |blk| out.extend_from_slice(blk)).then_some(out)
+    }
+
+    /// [`SdCard::read_blocks`] without the intermediate buffer: hands each
+    /// block, in order, to `sink` (the controller's FIFO). Returns `false`,
+    /// calling `sink` never, when the card is not sending data.
+    pub fn read_blocks_with(&mut self, lba: u64, count: u32, mut sink: impl FnMut(&[u8])) -> bool {
+        if self.removed || self.state != CardState::SendingData {
+            return false;
+        }
+        const UNWRITTEN: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
         for i in 0..u64::from(count) {
-            let blk = self.blocks.get(&(lba + i)).cloned().unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
-            out.extend_from_slice(&blk);
+            sink(self.blocks.get(&(lba + i)).map_or(&UNWRITTEN[..], Vec::as_slice));
         }
         self.blocks_read += u64::from(count);
         self.state = CardState::Transfer;
-        Some(out)
+        true
     }
 
     /// Write blocks starting at `lba`. `data` must be a whole number of

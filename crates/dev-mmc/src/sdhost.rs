@@ -186,14 +186,12 @@ impl SdHost {
             let media_deadline_ns = now_ns + self.cost.sd_cmd_ns + media_ns;
 
             if is_read {
-                // Pull the data out of the card now; it becomes visible to the
-                // FIFO consumers only once the media deadline passes.
-                let data = self.card.read_blocks(u64::from(arg), blocks);
+                // Pull the data out of the card now, straight into the FIFO;
+                // it becomes visible to the FIFO consumers only once the
+                // media deadline passes.
                 let mut fifo = self.fifo.lock();
                 fifo.begin(FifoDir::CardToHost, media_deadline_ns);
-                if let Some(bytes) = data {
-                    fifo.push_bytes(&bytes);
-                }
+                self.card.read_blocks_with(u64::from(arg), blocks, |blk| fifo.push_bytes(blk));
                 drop(fifo);
                 self.set_fsm(sdedm::FSM_READDATA);
             } else {

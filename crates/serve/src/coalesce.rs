@@ -56,38 +56,41 @@ impl ExecPlan {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Read,
-    Write,
-    Other,
+/// What the planner reads of a request: its direction and block extent
+/// (zero for captures). Planning over these copies, not the requests,
+/// keeps write payloads where they are.
+#[derive(Clone, Copy)]
+struct Header {
+    dir: Direction,
+    blkid: u32,
+    blkcnt: u32,
 }
 
-fn kind(req: &Request) -> Kind {
-    match req {
-        Request::Read { .. } => Kind::Read,
-        Request::Write { .. } => Kind::Write,
-        Request::Capture { .. } => Kind::Other,
+impl Header {
+    fn of(req: &Request) -> Header {
+        let (blkid, blkcnt) = match req {
+            Request::Read { blkid, blkcnt, .. } => (*blkid, *blkcnt),
+            Request::Write { blkid, data, .. } => (*blkid, (data.len() / BLOCK) as u32),
+            Request::Capture { .. } => (0, 0),
+        };
+        Header { dir: direction(req), blkid, blkcnt }
+    }
+
+    fn extent(&self) -> (u32, u32) {
+        (self.blkid, self.blkid + self.blkcnt)
     }
 }
 
 /// Merge a run of read requests (batch indices) into maximal contiguous
 /// spans.
-fn plan_read_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
+fn plan_read_run(batch: &[Header], run: &[usize], out: &mut Vec<ExecPlan>) {
     // Sort members by start block; sweep to build spans over the union.
     let mut members: Vec<usize> = run.to_vec();
-    members.sort_by_key(|&i| match &batch[i] {
-        Request::Read { blkid, .. } => *blkid,
-        _ => unreachable!("read run holds only reads"),
-    });
-    let extent = |i: usize| match &batch[i] {
-        Request::Read { blkid, blkcnt, .. } => (*blkid, *blkid + *blkcnt),
-        _ => unreachable!("read run holds only reads"),
-    };
+    members.sort_by_key(|&i| batch[i].blkid);
     let mut span_members = vec![members[0]];
-    let (mut lo, mut hi) = extent(members[0]);
+    let (mut lo, mut hi) = batch[members[0]].extent();
     for &i in &members[1..] {
-        let (s, e) = extent(i);
+        let (s, e) = batch[i].extent();
         if s <= hi && hi.max(e) - lo <= crate::MAX_REQUEST_BLOCKS {
             // Adjacent or overlapping (and still within the span bound):
             // extend the span.
@@ -108,15 +111,11 @@ fn plan_read_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
 }
 
 /// Chain strictly adjacent writes of a run; overlaps break the chain.
-fn plan_write_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
-    let extent = |i: usize| match &batch[i] {
-        Request::Write { blkid, data, .. } => (*blkid, *blkid + (data.len() / BLOCK) as u32),
-        _ => unreachable!("write run holds only writes"),
-    };
+fn plan_write_run(batch: &[Header], run: &[usize], out: &mut Vec<ExecPlan>) {
     let mut chain: Vec<usize> = vec![run[0]];
-    let (mut lo, mut end) = extent(run[0]);
+    let (mut lo, mut end) = batch[run[0]].extent();
     for &i in &run[1..] {
-        let (s, e) = extent(i);
+        let (s, e) = batch[i].extent();
         if s == end && e - lo <= crate::MAX_REQUEST_BLOCKS {
             end = e;
             chain.push(i);
@@ -130,26 +129,28 @@ fn plan_write_run(batch: &[Request], run: &[usize], out: &mut Vec<ExecPlan>) {
     out.push(ExecPlan::BatchedWrite { blkid: lo, members: chain });
 }
 
-/// Plan a drained batch. With `coalesce` off, every request is a
-/// [`ExecPlan::Single`] in queue order (the uncoalesced baseline).
-pub fn plan(batch: &[Request], coalesce: bool) -> Vec<ExecPlan> {
+/// Plan a drained batch, given as borrowed requests in queue order. With
+/// `coalesce` off, every request is a [`ExecPlan::Single`] in queue order
+/// (the uncoalesced baseline).
+pub fn plan<'a>(batch: impl IntoIterator<Item = &'a Request>, coalesce: bool) -> Vec<ExecPlan> {
+    let batch: Vec<Header> = batch.into_iter().map(Header::of).collect();
     if !coalesce {
         return (0..batch.len()).map(ExecPlan::Single).collect();
     }
     let mut out = Vec::new();
     let mut i = 0;
     while i < batch.len() {
-        let k = kind(&batch[i]);
+        let dir = batch[i].dir;
         let mut run = vec![i];
         let mut j = i + 1;
-        while j < batch.len() && kind(&batch[j]) == k {
+        while j < batch.len() && batch[j].dir == dir {
             run.push(j);
             j += 1;
         }
-        match k {
-            Kind::Read => plan_read_run(batch, &run, &mut out),
-            Kind::Write => plan_write_run(batch, &run, &mut out),
-            Kind::Other => out.extend(run.into_iter().map(ExecPlan::Single)),
+        match dir {
+            Direction::Read => plan_read_run(&batch, &run, &mut out),
+            Direction::Write => plan_write_run(&batch, &run, &mut out),
+            Direction::Other => out.extend(run.into_iter().map(ExecPlan::Single)),
         }
         i = j;
     }

@@ -56,12 +56,20 @@ use dlt_obs::{obs_event, obs_event_at};
 use crate::coalesce::{self, plan_dispatch, Dispatch, DispatchReason, ExecPlan};
 use crate::sched::{Lane, Pending, Policy};
 use crate::spsc::{SpscConsumer, SpscProducer};
-use crate::{Completion, Device, LaneHealth, Payload, Request, ServeError, SessionId, BLOCK};
+use crate::{
+    Bytes, Completion, Device, LaneHealth, Payload, Request, ServeError, SessionId, BLOCK,
+};
 
 /// First block of the scratch extent `lane_health_check` overwrites on
 /// block lanes (it stays clear of the low extents the tests and workloads
 /// address).
 pub(crate) const HEALTH_PROBE_BLKID: u32 = 1024;
+
+/// Size of the trustlet buffer a capture replays into. It is the replay's
+/// `buf_size` argument, which the camera templates constrain to at least
+/// 1 MiB and which feeds the replay's virtual-time cost, so it stays fixed
+/// rather than following the frame size.
+pub(crate) const CAPTURE_BUF_BYTES: usize = 2 << 20;
 
 pub(crate) fn block_args(rw: u64, blkcnt: u32, blkid: u32) -> [(&'static str, u64); 4] {
     [("rw", rw), ("blkcnt", u64::from(blkcnt)), ("blkid", u64::from(blkid)), ("flag", 0)]
@@ -246,6 +254,34 @@ pub(crate) struct LaneConfig {
     pub camera_bursts: Vec<u32>,
 }
 
+/// A lane's recycled capture buffer.
+///
+/// Invariant: the buffer is all-zero whenever a replay receives it, so a
+/// client sees exactly the bytes a freshly zeroed buffer would give and
+/// never a byte of an earlier frame.
+#[derive(Debug, Default)]
+pub(crate) struct CaptureBuf {
+    buf: Arc<Vec<u8>>,
+    /// How far the last replay into `buf` wrote
+    /// ([`Replayer::written_extent`]): the prefix to re-zero before reuse.
+    dirty: usize,
+}
+
+impl CaptureBuf {
+    /// The buffer for the next replay, all-zero. Once every frame handed
+    /// out over the current buffer has been dropped, the buffer is reused
+    /// with only its written prefix re-zeroed; otherwise a fresh one is
+    /// allocated and the old one stays with its readers.
+    pub(crate) fn zeroed(&mut self) -> &mut [u8] {
+        let dirty = std::mem::take(&mut self.dirty);
+        match Arc::get_mut(&mut self.buf) {
+            Some(buf) if buf.len() == CAPTURE_BUF_BYTES => buf[..dirty].fill(0),
+            _ => self.buf = Arc::new(vec![0; CAPTURE_BUF_BYTES]),
+        }
+        Arc::get_mut(&mut self.buf).expect("the lane holds the only reference")
+    }
+}
+
 /// Control-plane requests delivered to the worker between batches.
 pub(crate) enum CtrlReq {
     /// Install (`Some`) or clear (`None`) a response mutator on the lane
@@ -301,6 +337,9 @@ pub(crate) struct LaneWorker {
     /// Flight-recorder channel for this lane thread (`None` unless
     /// [`dlt_obs::ObsConfig::Full`]).
     pub tracer: Option<TraceHandle>,
+    /// The buffer every capture on this lane replays into (allocated on
+    /// the first capture, so block lanes never hold one).
+    pub capture_buf: CaptureBuf,
 }
 
 impl LaneWorker {
@@ -567,9 +606,8 @@ impl LaneWorker {
     }
 
     fn execute_batch(&mut self, batch: &[Pending]) -> Vec<Completion> {
-        let reqs: Vec<Request> = batch.iter().map(|p| p.req.clone()).collect();
         let coalesce = self.config.coalesce && self.device != Device::Vchiq;
-        let plans = coalesce::plan(&reqs, coalesce);
+        let plans = coalesce::plan(batch.iter().map(|p| &p.req), coalesce);
         let mut out = Vec::new();
         for plan in &plans {
             let coalesced = plan.is_coalesced();
@@ -580,13 +618,14 @@ impl LaneWorker {
                     (std::slice::from_ref(i), self.execute_single(&batch[*i].req).map(|p| vec![p]))
                 }
                 ExecPlan::MergedRead { blkid, blkcnt, members } => {
-                    let outcome = self.execute_read(*blkid, *blkcnt).map(|bytes| {
+                    let outcome = self.execute_read(*blkid, *blkcnt).map(|span| {
+                        // Every member is a range of the one span buffer.
                         let slice = |&m: &usize| {
                             let Request::Read { blkid: rb, blkcnt: rc, .. } = batch[m].req else {
                                 unreachable!("merged read members are reads");
                             };
                             let off = (rb - blkid) as usize * BLOCK;
-                            Payload::Read(bytes[off..off + rc as usize * BLOCK].to_vec())
+                            Payload::Read(span.slice(off..off + rc as usize * BLOCK))
                         };
                         members.iter().map(slice).collect()
                     });
@@ -664,20 +703,30 @@ impl LaneWorker {
                     .map(|()| Payload::Written { blocks: (data.len() / BLOCK) as u32 })
             }
             Request::Capture { frames, resolution } => {
-                let mut buf = vec![0u8; 2 << 20];
-                let size = replay_cam(&mut self.replayer, *frames, *resolution, &mut buf)?;
+                let data = self.capture(*frames, *resolution)?;
                 SharedStats::bump(&self.stats.replays);
-                buf.truncate(size as usize);
-                Ok(Payload::Image { data: buf })
+                Ok(Payload::Image { data })
             }
         }
     }
 
-    /// One (possibly merged) read span.
-    fn execute_read(&mut self, blkid: u32, blkcnt: u32) -> Result<Vec<u8>, ServeError> {
+    /// Capture `frames` frames at `resolution` into the lane's capture
+    /// buffer; the frame is handed out as a prefix of that buffer, with no
+    /// copy. Serves both client captures and the health probe.
+    fn capture(&mut self, frames: u32, resolution: u32) -> Result<Bytes, ServeError> {
+        let buf = self.capture_buf.zeroed();
+        let size = replay_cam(&mut self.replayer, frames, resolution, buf);
+        // Recorded on failure too: a diverged attempt may have copied.
+        self.capture_buf.dirty = self.replayer.written_extent();
+        let size = size? as usize;
+        Ok(Bytes::from(Arc::clone(&self.capture_buf.buf)).slice(0..size))
+    }
+
+    /// One (possibly merged) read span, as shared bytes.
+    fn execute_read(&mut self, blkid: u32, blkcnt: u32) -> Result<Bytes, ServeError> {
         let mut buf = vec![0u8; blkcnt as usize * BLOCK];
         self.execute_span(0x1, blkid, &mut buf)?;
-        Ok(buf)
+        Ok(buf.into())
     }
 
     /// One (possibly batched) write span.
@@ -737,9 +786,7 @@ impl LaneWorker {
                 }
             }
             Device::Vchiq => {
-                let mut buf = vec![0u8; 2 << 20];
-                let size = replay_cam(&mut self.replayer, frames, 720, &mut buf)?;
-                if size == 0 {
+                if self.capture(frames, 720)?.is_empty() {
                     return Err(ServeError::Invalid(
                         "lane vchiq failed its health probe: empty capture".into(),
                     ));

@@ -62,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
+mod bytes;
 pub mod coalesce;
 pub(crate) mod lane;
 pub mod ring;
@@ -79,6 +80,7 @@ pub use dlt_obs::spsc;
 pub use dlt_obs::ObsConfig;
 
 pub use adapter::ServedBlockDev;
+pub use bytes::Bytes;
 pub use route::{LaneId, ReplicaDepth, RouteConfig, RoutePolicy};
 pub use sched::{Policy, QosConfig, SessionQos};
 pub use service::{
@@ -176,10 +178,15 @@ pub const BLOCK: usize = dlt_core::MMC_BLOCK_SIZE;
 pub const MAX_REQUEST_BLOCKS: u32 = 4096;
 
 /// Successful result data of one request.
+///
+/// Read and image payloads are [`Bytes`]: the buffer the replay copied the
+/// device's DMA data into, handed over without a second copy. Cloning a
+/// payload (or the [`Completion`] carrying it) shares that buffer, and the
+/// members of a merged read are ranges of the one span buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Bytes read from the device.
-    Read(Vec<u8>),
+    Read(Bytes),
     /// Blocks written to the device.
     Written {
         /// Number of blocks written.
@@ -187,8 +194,10 @@ pub enum Payload {
     },
     /// A captured camera frame.
     Image {
-        /// JPEG bytes (trimmed to the device-assigned size).
-        data: Vec<u8>,
+        /// JPEG bytes (the device-assigned size, a prefix of the lane's
+        /// capture buffer; the lane reuses that buffer once every clone of
+        /// the frame is dropped).
+        data: Bytes,
     },
 }
 

@@ -84,7 +84,8 @@ use dlt_tee::{secure_core, SecureIo, TeeError, TeeKernel, Trustlet};
 
 use crate::coalesce::Dispatch;
 use crate::lane::{
-    CtrlMsg, CtrlReply, CtrlReq, LaneConfig, LaneShared, LaneWorker, Quiesce, SharedStats,
+    CaptureBuf, CtrlMsg, CtrlReply, CtrlReq, LaneConfig, LaneShared, LaneWorker, Quiesce,
+    SharedStats,
 };
 use crate::ring::{CompletionRing, SqEntry, SubmissionRing};
 use crate::route::{LaneId, LaneLoad, RouteConfig, RoutePart, RouteReject, Router};
@@ -887,6 +888,7 @@ impl DriverletService {
                 stats: Arc::clone(&stats),
                 config: lane_config.clone(),
                 tracer: lane_tracer,
+                capture_buf: CaptureBuf::default(),
             });
             let (worker, join) = match config.exec_mode {
                 ExecMode::Sequential => (Some(worker), None),
@@ -1560,7 +1562,7 @@ impl DriverletService {
         let result = match p.error {
             Some((_, e)) => Err(e),
             None => Ok(match p.buf {
-                Some(buf) => Payload::Read(buf),
+                Some(buf) => Payload::Read(buf.into()),
                 None => Payload::Written { blocks: p.blocks },
             }),
         };
@@ -1692,6 +1694,7 @@ impl DriverletService {
             self.exec_log.push(c.id);
             if let Some(c) = self.absorb_member(c) {
                 if collect {
+                    // Cheap: payload bytes are shared, not copied.
                     out.push(c.clone());
                 }
                 self.post_completion(c);
@@ -2663,7 +2666,7 @@ mod tests {
         s.submit(sess, rd(0)).unwrap();
         s.drain_all();
         let read = s.take_completions(sess).pop().expect("read completion");
-        assert_eq!(read.result.expect("read ok"), Payload::Read(vec![0x5a; BLOCK]));
+        assert_eq!(read.result.expect("read ok"), Payload::Read(vec![0x5a; BLOCK].into()));
     }
 
     #[test]
@@ -2811,7 +2814,7 @@ mod tests {
                 .drain_all()
                 .into_iter()
                 .map(|c| match c.result.expect("read ok") {
-                    Payload::Read(bytes) => (c.id, bytes),
+                    Payload::Read(bytes) => (c.id, bytes.to_vec()),
                     other => panic!("unexpected payload {other:?}"),
                 })
                 .collect();
@@ -2999,6 +3002,53 @@ mod tests {
         assert!(mmc.busy_ns <= mmc.now_ns && mmc.utilization() <= 1.0);
     }
 
+    /// Capture one frame into `session` and return it, dropping every
+    /// other handle on it (the client reaps per session).
+    fn capture_frame(
+        s: &mut DriverletService,
+        session: SessionId,
+        resolution: u32,
+    ) -> crate::Bytes {
+        s.submit(session, Request::Capture { frames: 1, resolution }).unwrap();
+        drop(s.drain_all());
+        match s.take_completions(session).pop().expect("one completion").result {
+            Ok(Payload::Image { data }) => data,
+            other => panic!("capture failed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_held_frame_is_never_overwritten_by_another_sessions_capture() {
+        use dlt_dev_vchiq::{msg::is_valid_jpeg, CameraResolution};
+        let mut s = DriverletService::new(&[Device::Vchiq], ServeConfig::default()).unwrap();
+        let (a, b) = (s.open_session().unwrap(), s.open_session().unwrap());
+        let frame_a = capture_frame(&mut s, a, 1440);
+        let before = frame_a.to_vec();
+        // Session A still holds its frame, so B's capture cannot reuse the
+        // lane's buffer.
+        let frame_b = capture_frame(&mut s, b, 720);
+        assert_eq!(frame_a, before, "A's frame changed under B's capture");
+        assert_eq!(frame_a.len(), CameraResolution::R1440p.frame_bytes() as usize);
+        assert_eq!(frame_b.len(), CameraResolution::R720p.frame_bytes() as usize);
+        assert!(is_valid_jpeg(&frame_a) && is_valid_jpeg(&frame_b));
+    }
+
+    #[test]
+    fn the_capture_buffer_is_all_zero_before_every_replay() {
+        let mut s = DriverletService::new(&[Device::Vchiq], ServeConfig::default()).unwrap();
+        let session = s.open_session().unwrap();
+        let big = capture_frame(&mut s, session, 1440).as_ptr();
+        // The 1440p frame was dropped: the 720p capture reuses its buffer.
+        let small = capture_frame(&mut s, session, 720);
+        assert_eq!(small.as_ptr(), big, "the dropped frame's buffer is recycled");
+        drop(small);
+        let worker = s.lanes[0].worker.as_mut().expect("sequential lanes keep their worker");
+        let buf = worker.capture_buf.zeroed();
+        assert_eq!(buf.as_ptr(), big, "still the recycled buffer");
+        assert_eq!(buf.len(), crate::lane::CAPTURE_BUF_BYTES);
+        assert!(buf.iter().all(|&b| b == 0), "a stale byte of an earlier frame survived");
+    }
+
     #[test]
     fn drain_device_flushes_only_the_saturated_lane() {
         let mut s = DriverletService::new(
@@ -3133,7 +3183,7 @@ mod tests {
             assert_eq!(done.len(), 2);
             let read = s.take_completions(sess).pop().expect("read completion");
             match read.result.expect("read ok") {
-                Payload::Read(bytes) => bytes,
+                Payload::Read(bytes) => bytes.to_vec(),
                 other => panic!("unexpected payload {other:?}"),
             }
         };

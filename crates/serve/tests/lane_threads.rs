@@ -161,9 +161,9 @@ fn run_program(exec_mode: ExecMode, bundle: Driverlet) -> (HashMap<u64, Vec<u8>>
     let mut payloads = HashMap::new();
     for c in &completions {
         let bytes = match c.result.as_ref().expect("request succeeds") {
-            Payload::Read(b) => b.clone(),
+            Payload::Read(b) => b.to_vec(),
             Payload::Written { blocks } => vec![*blocks as u8],
-            Payload::Image { data } => data.clone(),
+            Payload::Image { data } => data.to_vec(),
         };
         payloads.insert(tag_of[&c.id], bytes);
     }
@@ -175,7 +175,7 @@ fn run_program(exec_mode: ExecMode, bundle: Driverlet) -> (HashMap<u64, Vec<u8>>
         .into_iter()
         .find(|c| c.id == id)
         .and_then(|c| match c.result {
-            Ok(Payload::Read(b)) => Some(b),
+            Ok(Payload::Read(b)) => Some(b.to_vec()),
             _ => None,
         })
         .expect("readback payload");
